@@ -1,0 +1,33 @@
+"""Golden outputs: SHA-256 digests of full CLI runs, pinned byte for byte.
+
+Criterion 8 only compares a run with itself, so it cannot see a kernel or
+model change that shifts trajectories. These digests were computed once and
+must not be re-pinned to make a change pass: a change that alters one of them
+changes what the simulation does, and has to say so and why.
+"""
+
+import hashlib
+import io
+
+import pytest
+
+from desim.cli import main
+
+GOLDENS = [
+    (("run", "--scenario", "impatient", "--n", "12", "--seed", "99",
+      "--until", "50000", "--diag"),
+     "0700ae7feeec390b6e92a32db85e74bf8b13a54eb9f8e3988c31e508774d6a38"),
+    (("run", "--scenario", "classic", "--n", "5", "--seed", "16", "--diag"),
+     "cf4a2be2d74ec5811d705931ea9717b41ec8a5ae9341fb364dbcce042e25e35a"),
+    (("sweep", "--scenario", "bowl", "--n", "2..12", "--seeds", "3",
+      "--until", "5000"),
+     "1194baaf6f003188b826f7b0294b59ac85875a9949014e9a76cb8e0c8b4f20a4"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDENS,
+                         ids=[" ".join(argv[:3]) for argv, _ in GOLDENS])
+def test_output_digest_is_pinned(argv, digest):
+    out, err = io.StringIO(), io.StringIO()
+    assert main(list(argv), stdout=out, stderr=err) == 0, err.getvalue()
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest
