@@ -82,7 +82,8 @@ def _build_parser() -> _Parser:
                      help="party size (default 5) or customer count (default 10)")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--until", type=float, default=None,
-                     help="time horizon; default runs to exhaustion")
+                     help="time horizon; default runs to exhaustion, which "
+                          "only classic and counter do")
     run.add_argument("--diag", action="store_true",
                      help="emit per-event trace lines for philosopher scenarios")
     run.add_argument("--format", choices=("human", "jsonl"), default="human")
@@ -137,6 +138,10 @@ def _cmd_run(args, stdout: IO[str]) -> int:
         n = 5 if args.n is None else args.n
         if n < 2:
             raise _UsageError("--n must be >= 2 for a philosopher party")
+        if args.until is None and args.scenario != "classic":
+            # Only a classic party can run out of events (by deadlocking).
+            raise _UsageError(f"--until is required for the {args.scenario} "
+                              f"scenario, which never runs to exhaustion")
         trace = [] if args.diag else None
         party = build_party(env, n, args.scenario, trace=trace)
         outcome = env.run(args.until)

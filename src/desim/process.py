@@ -67,11 +67,6 @@ class Process(Event):
         """True between spawn and the processing of the completion event."""
         return self.state is not _PROCESSED
 
-    @property
-    def completion(self) -> Event:
-        """The completion event; a process is its own completion."""
-        return self
-
     def interrupt(self, cause: Any = None) -> None:
         """Resume the process exceptionally with ``cause`` at its yield point.
 

@@ -166,9 +166,16 @@ class Container:
         return ev
 
     def put(self, amount: float) -> ContainerPut:
-        """Deposit ``amount``; the returned event succeeds when it fits."""
+        """Deposit ``amount``; the returned event succeeds when it fits.
+
+        An amount above the container capacity can never fit and is rejected
+        immediately rather than blocking every later put forever.
+        """
         if not amount > 0:
             raise ValueError(f"put amount must be > 0, got {amount!r}")
+        if amount > self.capacity:
+            raise ValueError(
+                f"put of {amount!r} exceeds container capacity {self.capacity!r}")
         ev = ContainerPut(self.env, self, float(amount))
         self.put_queue.append(ev)
         self._settle()

@@ -30,7 +30,6 @@ __all__ = [
     "ChefConfig",
     "CounterConfig",
     "TraceRecord",
-    "GaveUp",
     "CustomerFailed",
     "Philosopher",
     "Chef",
@@ -119,25 +118,15 @@ class CounterConfig:
             raise ValueError("fail_one_in must be >= 1")
 
 
-class GaveUp(Exception):
-    """A meal attempt timed out waiting for food.
-
-    Carries the two chopstick request handles so the parent loop can still
-    release them: once the attempt subprocess has failed, the exception
-    payload is the only way the handles can travel back.
-    """
-
-    @property
-    def handles(self):
-        return self.args
-
-
 class CustomerFailed(Exception):
     """Service of a customer's ticket failed."""
 
 
 class Philosopher:
     """One diner: think, grab two chopsticks (and maybe rice), eat, repeat.
+
+    The whole cycle, hungry spell included, runs in the diner's one process;
+    a diner who gives up on the rice puts both chopsticks back and thinks.
 
     Instruments itself with the accumulated ``waiting`` time between wanting
     to eat and having everything needed to eat, the meal/give-up counters,
@@ -191,28 +180,28 @@ class Philosopher:
         while True:
             yield env.timeout(rng.expovariate_mean(cfg.think_mean))
             self._enter(PhilosopherState.HUNGRY)
-            attempt = spawn(env, self._get_hungry(self.meal_size),
-                            name=f"philosopher-{self.id}-attempt")
-            try:
-                rq1, rq2 = yield attempt
-            except GaveUp as gave_up:
-                rq1, rq2 = gave_up.handles
-                self.give_ups += 1
-                self.total_give_ups += 1
-                self.meal_size += cfg.portion
-                self._enter(PhilosopherState.THINKING)
-            else:
+            rq1, rq2, fed = yield from self._get_hungry(self.meal_size)
+            if fed:
                 self._enter(PhilosopherState.EATING)
                 self.meals += 1
                 yield env.timeout(rng.expovariate_mean(cfg.eat_mean))
                 self.meal_size = cfg.portion
                 self.give_ups = 0
-                self._enter(PhilosopherState.THINKING)
+            else:
+                self.give_ups += 1
+                self.total_give_ups += 1
+                self.meal_size += cfg.portion
+            self._enter(PhilosopherState.THINKING)
             self.chopsticks[0].release(rq1)
             self.chopsticks[1].release(rq2)
             self._diag("released the chopsticks")
 
     def _get_hungry(self, meal_size: float):
+        """Take both chopsticks and, with a bowl, ``meal_size`` of rice.
+
+        Returns both chopstick requests and whether food was reserved; only
+        an impatient diner can come away without it, after ``max_food_wait``.
+        """
         env = self.env
         cfg = self.config
         start_waiting = env.now
@@ -226,25 +215,23 @@ class Philosopher:
         rq2 = self.chopsticks[1].request()
         yield rq2
         self._diag("obtained another chopstick")
+        fed = True
         if self.bowl is not None:
+            request = self.bowl.get(meal_size)
             if cfg.impatient:
-                request = self.bowl.get(meal_size)
                 yield any_of(env, [request, env.timeout(cfg.max_food_wait)])
-                if request.processed:
-                    self._diag("reserved food")
-                    self.rice_consumed += meal_size
-                else:
-                    self._diag("gave up")
-                    self.waiting += env.now - start_waiting
-                    # The abandoned withdrawal must not drain stock later.
-                    self.bowl.cancel_get(request)
-                    raise GaveUp(rq1, rq2)
+                fed = request.processed
             else:
-                yield self.bowl.get(meal_size)
+                yield request
+            if fed:
                 self._diag("reserved food")
                 self.rice_consumed += meal_size
+            else:
+                self._diag("gave up")
+                # The abandoned withdrawal must not drain stock later.
+                self.bowl.cancel_get(request)
         self.waiting += env.now - start_waiting
-        return rq1, rq2
+        return rq1, rq2, fed
 
 
 class Chef:

@@ -17,11 +17,9 @@ from typing import Iterable, NamedTuple
 from .kernel import Environment
 from .process import spawn
 from .resources import Resource
-from .rng import Rng
 from .scenarios import build_party, detect_deadlock
 
 __all__ = [
-    "Rng",
     "SweepResult",
     "simulate",
     "derive_seed",

@@ -138,6 +138,12 @@ class TestExitCodes:
         code, _, err = run_cli("run", "--scenario", "classic", "--n", "1")
         assert code == 1 and "usage error" in err
 
+    @pytest.mark.parametrize("scenario", ["ordered", "bowl", "impatient"])
+    def test_party_that_never_exhausts_needs_until(self, scenario):
+        code, out, err = run_cli("run", "--scenario", scenario, "--n", "3")
+        assert code == 1 and out == ""
+        assert "usage error" in err and "--until" in err
+
     def test_bad_range_is_usage_error(self):
         code, _, err = run_cli("sweep", "--scenario", "ordered", "--n", "9..2")
         assert code == 1 and "usage error" in err

@@ -42,13 +42,6 @@ class TestSpawn:
         with pytest.raises(TypeError):
             spawn(env, lambda: None)
 
-    def test_completion_is_the_handle_itself(self):
-        env = Environment(0)
-        def body():
-            yield env.timeout(1.0)
-        handle = spawn(env, body())
-        assert handle.completion is handle
-
 
 class TestSuspension:
     def test_timeout_resumes_with_value_at_right_time(self):

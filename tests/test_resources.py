@@ -176,6 +176,15 @@ class TestContainer:
         with pytest.raises(ValueError):
             bowl.get(1020.0)
 
+    def test_put_above_capacity_rejected_eagerly(self):
+        env = Environment(0)
+        bowl = Container(env, init=0.0, capacity=10.0)
+        with pytest.raises(ValueError):
+            bowl.put(20.0)
+        # Nothing was queued ahead of it, so a put that fits still completes.
+        assert bowl.put(1.0).triggered
+        assert bowl.level == 1.0
+
     @pytest.mark.parametrize("amount", [0.0, -5.0])
     def test_nonpositive_amounts_rejected(self, amount):
         env = Environment(0)

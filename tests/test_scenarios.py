@@ -2,7 +2,7 @@
 
 import pytest
 
-from desim import Container, Environment, Resource
+from desim import Container, Environment, Process, Resource
 from desim.scenarios import (
     ALLOWED_TRANSITIONS,
     GIVE_UP_TRANSITION,
@@ -263,7 +263,15 @@ class TestImpatient:
             env,
             config=PhilosopherConfig(ordered=True, impatient=True),
             bowl=bowl,
+            record_transitions=True,
         )
+        while ph.total_give_ups == 0:
+            env.step()
+        # Giving up, going back to thinking and releasing both chopsticks
+        # all happen within the one resumption that lost the race.
+        assert ph.transitions[-1][1:] == GIVE_UP_TRANSITION
+        assert ph.state is PhilosopherState.THINKING
+        assert all(c.count == 0 for c in ph.chopsticks)
         env.run(until=200.0)
         assert ph.total_give_ups >= 1
         assert ph.state is PhilosopherState.THINKING or ph.state is PhilosopherState.HUNGRY_WITH_ONE
@@ -301,6 +309,26 @@ class TestImpatient:
         env.run(until=20000.0)
         for ph in party.philosophers:
             assert ph.meal_size == 20.0 * (1 + ph.give_ups)
+
+
+class TestInlineMealAttempt:
+    @pytest.mark.parametrize("variant", ["bowl", "impatient"])
+    def test_no_process_completes_in_a_party(self, variant):
+        # Each hungry spell runs inside the diner's own process, so no
+        # process ever completes and none is processed as an event, also in
+        # a run with give-ups.
+        env = Environment(1)
+        processes = []
+        def record(event):
+            if isinstance(event, Process):
+                processes.append(event)
+        env.on_processed = record
+        party = build_party(env, 16, variant)
+        env.run(until=10000.0)
+        assert sum(ph.meals for ph in party.philosophers) > 0
+        if variant == "impatient":
+            assert sum(ph.total_give_ups for ph in party.philosophers) > 0
+        assert processes == []
 
 
 class TestCounter:
