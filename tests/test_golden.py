@@ -22,6 +22,10 @@ GOLDENS = [
     (("sweep", "--scenario", "bowl", "--n", "2..12", "--seeds", "3",
       "--until", "5000"),
      "1194baaf6f003188b826f7b0294b59ac85875a9949014e9a76cb8e0c8b4f20a4"),
+    # The only golden that exercises interrupts: each arrival wakes the
+    # sleeping operator (97 "woke up" lines).
+    (("run", "--scenario", "counter", "--n", "2000", "--seed", "7"),
+     "d89fda93ced643bdaad71943538a61175c92dd87edeac07709bbd63ef6f72c48"),
 ]
 
 
