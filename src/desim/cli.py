@@ -83,7 +83,9 @@ def _build_parser() -> _Parser:
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--until", type=float, default=None,
                      help="time horizon; default runs to exhaustion, which "
-                          "only classic and counter do")
+                          "only classic and counter do, and a classic party "
+                          "only by deadlocking: a large one (n >= 8) may "
+                          "practically never stop without a horizon")
     run.add_argument("--diag", action="store_true",
                      help="emit per-event trace lines for philosopher scenarios")
     run.add_argument("--format", choices=("human", "jsonl"), default="human")

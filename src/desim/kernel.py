@@ -226,11 +226,6 @@ class Environment:
         # when unset.
         self.on_processed: Optional[Callable[[Event], None]] = None
 
-    def _next_eid(self) -> int:
-        eid = self._eid_counter
-        self._eid_counter = eid + 1
-        return eid
-
     @property
     def now(self) -> float:
         """Current simulation time."""

@@ -11,7 +11,6 @@ directly.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Any, Generator
 
 from .kernel import (
@@ -43,8 +42,7 @@ class Process(Event):
     completion event has been processed.
     """
 
-    __slots__ = ("name", "_body", "_awaiting", "_started", "_finished",
-                 "_queued_interrupts")
+    __slots__ = ("name", "_body", "_awaiting")
 
     def __init__(self, env: Environment, body: Generator[Event, Any, Any],
                  name: str | None = None):
@@ -53,14 +51,8 @@ class Process(Event):
         super().__init__(env)
         self.name = name or getattr(body, "__name__", None) or f"process-{self.eid}"
         self._body = body
-        self._awaiting: Event | None = None
-        self._started = False
-        self._finished = False
-        self._queued_interrupts: deque[Any] = deque()
-        start = Event(env)
-        start._ok = True
-        env.schedule(start, URGENT, 0.0)
-        start.add_callback(self._start)
+        # The start is the first event the process waits for.
+        self._awaiting: Event = self._wake(None)
 
     @property
     def alive(self) -> bool:
@@ -72,96 +64,71 @@ class Process(Event):
 
         Delivery happens at the current time, ahead of whatever event the
         process was waiting on; that event is detached and will no longer
-        resume the process. Interrupting a process that has not started yet
-        queues the interrupt for delivery at its first suspension.
-        Interrupting a completed process is an error.
+        resume the process. The delivery is queued when ``interrupt`` is
+        called, as an urgent event. Interrupting a process that has not
+        started yet therefore delivers the interrupt at its first yield,
+        right after its start and ahead of any urgent event (such as a
+        child's start) that its first step creates. An interrupt that
+        arrives after the body has completed is dropped. Interrupting a
+        completed process is an error.
         """
-        if self._finished:
+        if self._ok is not None:
             raise LifecycleError(f"cannot interrupt completed process {self.name!r}")
-        if not self._started:
-            self._queued_interrupts.append(cause)
-            return
-        self._schedule_interrupt(cause)
+        self._wake(Interrupted(cause))
 
     # -- internals ------------------------------------------------------
 
-    def _schedule_interrupt(self, cause: Any) -> None:
-        delivery = Event(self.env)
-        delivery._ok = True
-        delivery._value = cause
-        self.env.schedule(delivery, URGENT, 0.0)
-        delivery.add_callback(self._deliver_interrupt)
-
-    def _deliver_interrupt(self, delivery: Event) -> None:
-        if self._finished:
-            # The body completed between the interrupt call and its
-            # delivery (e.g. a prior interrupt ended it); nothing to wake.
-            return
-        awaited = self._awaiting
-        if awaited is not None:
-            awaited.callbacks.remove(self._resume)
-            self._awaiting = None
-        self._advance(None, Interrupted(delivery._value))
-
-    def _start(self, start_event: Event) -> None:
-        self._started = True
-        self._advance(None, None)
-        while self._queued_interrupts:
-            cause = self._queued_interrupts.popleft()
-            if self._finished:
-                break
-            self._schedule_interrupt(cause)
+    def _wake(self, interrupt: Interrupted | None) -> Event:
+        """Queue an urgent resume now: the start, or an interrupt's delivery."""
+        wake = Event(self.env)
+        wake._ok = interrupt is None
+        wake._value = interrupt
+        wake._observed = True  # an interrupt is never an unhandled failure
+        wake.callbacks.append(self._resume)
+        self.env.schedule(wake, URGENT, 0.0)
+        return wake
 
     def _resume(self, event: Event) -> None:
-        self._awaiting = None
-        if event._ok:
-            self._advance(event._value, None)
-        else:
-            event._observed = True
-            cause = event._value
-            exc = cause if isinstance(cause, BaseException) else EventFailed(cause)
-            self._advance(None, exc)
-
-    def _advance(self, value: Any, exc: BaseException | None) -> None:
+        """Run the body from its yield point with ``event``'s outcome."""
+        if self._ok is not None:
+            # The body completed before this wake arrived (e.g. a prior
+            # interrupt ended it); nothing to resume.
+            return
+        awaited = self._awaiting
+        if awaited is not event:
+            # An interrupt overtook the awaited event, which is detached.
+            awaited.callbacks.remove(self._resume)
         body = self._body
         while True:
             try:
-                if exc is not None:
-                    target = body.throw(exc)
+                if event._ok:
+                    target = body.send(event._value)
                 else:
-                    target = body.send(value)
+                    event._observed = True
+                    cause = event._value
+                    target = body.throw(
+                        cause if isinstance(cause, BaseException) else EventFailed(cause))
             except StopIteration as stop:
-                self._finished = True
                 self._ok = True
                 self._value = stop.value
-                self.env.schedule(self, NORMAL, 0.0)
-                return
+                break
             except Exception as failure:
-                self._finished = True
                 self._ok = False
                 self._value = failure
-                self.env.schedule(self, NORMAL, 0.0)
+                break
+            if (not isinstance(target, Event) or target.env is not self.env
+                    or target is self):
+                body.close()
+                what = ("its own completion" if target is self else
+                        f"{target!r}, which is not an event of its environment")
+                raise LifecycleError(f"process {self.name!r} yielded {what}")
+            if target.state is not _PROCESSED:
+                target.callbacks.append(self._resume)
+                self._awaiting = target
                 return
-            if not isinstance(target, Event) or target.env is not self.env:
-                raise LifecycleError(
-                    f"process {self.name!r} yielded {target!r}, which is not "
-                    f"an event of its environment")
-            if target is self:
-                raise LifecycleError(
-                    f"process {self.name!r} yielded its own completion")
-            if target.state is _PROCESSED:
-                # Already settled: continue in place without suspending.
-                if target._ok:
-                    value, exc = target._value, None
-                else:
-                    target._observed = True
-                    cause = target._value
-                    value = None
-                    exc = cause if isinstance(cause, BaseException) else EventFailed(cause)
-                continue
-            target.callbacks.append(self._resume)
-            self._awaiting = target
-            return
+            # Already settled: continue in place without suspending.
+            event = target
+        self.env.schedule(self, NORMAL, 0.0)
 
     def _process_name(self) -> str | None:
         return self.name

@@ -79,11 +79,18 @@ class TestSuspension:
 
     def test_yield_non_event_is_contract_violation(self):
         env = Environment(0)
+        closed = []
         def body():
-            yield 42
-        spawn(env, body())
+            try:
+                yield 42
+            finally:
+                closed.append(env.now)
+        handle = spawn(env, body())
         with pytest.raises(LifecycleError):
             env.run()
+        # ``handle`` keeps the body from being collected, so only an explicit
+        # close before the error leaves the run can have run its finally.
+        assert closed == [0.0]
 
     def test_yield_own_completion_is_contract_violation(self):
         env = Environment(0)
@@ -249,6 +256,69 @@ class TestInterrupt:
         handle.interrupt("early")
         env.run()
         assert seen == [(0.0, "early")]
+
+    def test_interrupts_before_start_delivered_at_time_zero_in_call_order(self):
+        env = Environment(0)
+        seen = []
+        def target():
+            for _ in range(2):
+                try:
+                    yield env.timeout(10.0)
+                except Interrupted as stop:
+                    seen.append((env.now, stop.cause))
+        handle = spawn(env, target())
+        handle.interrupt("first")
+        handle.interrupt("second")
+        env.run()
+        assert seen == [(0.0, "first"), (0.0, "second")]
+        assert env.now == 10.0
+
+    def test_interrupt_before_start_of_body_that_never_yields_is_dropped(self):
+        env = Environment(0)
+        def body():
+            return "done"
+            yield  # pragma: no cover - makes this a generator
+        handle = spawn(env, body())
+        handle.interrupt("too late")
+        env.run()
+        assert handle.succeeded
+        assert handle.value == "done"
+
+    def test_second_interrupt_after_first_ends_body_is_dropped(self):
+        env = Environment(0)
+        def target():
+            try:
+                yield env.timeout(10.0)
+            except Interrupted as stop:
+                return stop.cause
+        handle = spawn(env, target())
+        def poker():
+            yield env.timeout(1.0)
+            handle.interrupt("first")
+            handle.interrupt("second")
+        spawn(env, poker())
+        env.run()
+        assert handle.value == "first"
+        assert env.now == 10.0
+
+    def test_interrupt_before_start_precedes_start_of_child_spawned_in_first_step(self):
+        env = Environment(0)
+        order = []
+        def child():
+            order.append("child starts")
+            yield env.timeout(1.0)
+        def parent():
+            spawn(env, child())
+            try:
+                yield env.timeout(10.0)
+            except Interrupted:
+                order.append("parent interrupted")
+        handle = spawn(env, parent())
+        handle.interrupt()
+        env.run()
+        # The interrupt is scheduled when it is sent, so it is queued ahead
+        # of every urgent event the parent's first step creates.
+        assert order == ["parent interrupted", "child starts"]
 
     def test_interrupt_completed_process_is_error(self):
         env = Environment(0)
