@@ -26,6 +26,9 @@ GOLDENS = [
     # sleeping operator (97 "woke up" lines).
     (("run", "--scenario", "counter", "--n", "2000", "--seed", "7"),
      "d89fda93ced643bdaad71943538a61175c92dd87edeac07709bbd63ef6f72c48"),
+    # The KS statistic of 10,000 exponential draws and two M/M/1 runs.
+    (("validate", "--customers", "20000", "--seed", "0"),
+     "1f914e3dda57b3bab6de790b92e4cb3484762f151b27c40e7687893838bdc080"),
 ]
 
 
