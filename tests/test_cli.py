@@ -152,6 +152,19 @@ class TestExitCodes:
         code, _, err = run_cli("sweep", "--scenario", "ordered", "--seeds", "0")
         assert code == 1
 
+    @pytest.mark.parametrize("argv", [
+        ("run", "--scenario", "counter", "--precision", "-1"),
+        ("run", "--scenario", "counter", "--until", "-1"),
+        ("run", "--scenario", "counter", "--n", "0"),
+        ("sweep", "--scenario", "ordered", "--n", "1..3"),
+        ("sweep", "--scenario", "ordered", "--until", "0"),
+        ("sweep", "--scenario", "ordered", "--workers", "0"),
+    ], ids=" ".join)
+    def test_out_of_range_option_is_usage_error(self, argv):
+        code, out, err = run_cli(*argv)
+        assert code == 1 and out == ""
+        assert "usage error" in err
+
     def test_missing_command_is_usage_error(self):
         code, _, err = run_cli()
         assert code == 1

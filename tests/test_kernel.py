@@ -391,6 +391,20 @@ class TestComposites:
         env.run()
         assert out == {"or": 1.0, "and": 3.0}
 
+    def test_already_processed_constituent_meets_any_of_at_once(self):
+        env = Environment(0)
+        done = env.timeout(1.0, value="done")
+        env.run()
+        later = env.timeout(5.0, value="later")
+        cond = any_of(env, [later, done])
+        assert cond.triggered
+        env.step()
+        assert cond.succeeded and env.now == 1.0
+        assert cond.value == {done: "done"}
+        assert not later.processed
+        env.run()
+        assert cond.value == {done: "done"}
+
     def test_is_processed_observation(self):
         env = Environment(0)
         ev = env.timeout(1.0)
