@@ -14,7 +14,6 @@ from .kernel import (
     Environment,
     Event,
     EventFailed,
-    EventState,
     KernelError,
     LifecycleError,
     RunOutcome,
@@ -33,7 +32,6 @@ __all__ = [
     "Environment",
     "Event",
     "EventFailed",
-    "EventState",
     "KernelError",
     "LifecycleError",
     "RunOutcome",

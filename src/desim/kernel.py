@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Optional
 
@@ -20,7 +19,6 @@ from .rng import Rng
 __all__ = [
     "URGENT",
     "NORMAL",
-    "EventState",
     "Event",
     "Environment",
     "RunOutcome",
@@ -70,35 +68,25 @@ class EventFailed(Exception):
         super().__init__(cause)
 
 
-class EventState(Enum):
-    PENDING = "pending"
-    TRIGGERED = "triggered"
-    PROCESSED = "processed"
-
-
-# Cached members: enum attribute lookups are measurable in the event loop.
-_PENDING = EventState.PENDING
-_TRIGGERED = EventState.TRIGGERED
-_PROCESSED = EventState.PROCESSED
-
-
 class Event:
     """One-shot occurrence with a pending -> triggered -> processed lifecycle.
 
     A processed event carries exactly one outcome: success with a value or
     failure with a cause. Callbacks registered before processing fire exactly
     once, in registration order, when the event is processed.
+
+    The lifecycle is read off two fields: an event is pending while
+    ``_sched_time`` is None, and processed once ``callbacks`` is None.
     """
 
-    __slots__ = ("env", "eid", "state", "callbacks", "_ok", "_value",
-                 "_observed", "_sched_time", "_sched_priority")
+    __slots__ = ("env", "eid", "callbacks", "_ok", "_value", "_observed",
+                 "_sched_time", "_sched_priority")
 
     def __init__(self, env: "Environment"):
         self.env = env
         self.eid = eid = env._eid_counter
         env._eid_counter = eid + 1
-        self.state = _PENDING
-        self.callbacks: list[Callable[["Event"], None]] = []
+        self.callbacks: list[Callable[["Event"], None]] | None = []
         self._ok: bool | None = None
         self._value: Any = None
         self._observed = False
@@ -109,24 +97,24 @@ class Event:
 
     @property
     def pending(self) -> bool:
-        return self.state is _PENDING
+        return self._sched_time is None
 
     @property
     def triggered(self) -> bool:
-        return self.state is _TRIGGERED
+        return self._sched_time is not None and self.callbacks is not None
 
     @property
     def processed(self) -> bool:
         """True iff the event has been processed (outcome delivered)."""
-        return self.state is _PROCESSED
+        return self.callbacks is None
 
     @property
     def succeeded(self) -> bool:
-        return self.state is _PROCESSED and self._ok is True
+        return self.callbacks is None and self._ok is True
 
     @property
     def failed(self) -> bool:
-        return self.state is _PROCESSED and self._ok is False
+        return self.callbacks is None and self._ok is False
 
     @property
     def value(self) -> Any:
@@ -153,7 +141,7 @@ class Event:
 
     def succeed(self, value: Any = None) -> None:
         """Set a success outcome and queue the event at the current time."""
-        if self.state is not _PENDING:
+        if self._sched_time is not None:
             raise LifecycleError(f"cannot succeed {self!r}: not pending")
         self._ok = True
         self._value = value
@@ -166,7 +154,7 @@ class Event:
         instance it is raised as-is at their yield points, otherwise it is
         wrapped in :class:`EventFailed`.
         """
-        if self.state is not _PENDING:
+        if self._sched_time is not None:
             raise LifecycleError(f"cannot fail {self!r}: not pending")
         self._ok = False
         self._value = cause
@@ -174,7 +162,7 @@ class Event:
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Register a callback invoked with this event when it is processed."""
-        if self.state is _PROCESSED:
+        if self.callbacks is None:
             raise LifecycleError(f"cannot add a callback to processed {self!r}")
         self.callbacks.append(callback)
 
@@ -191,8 +179,13 @@ class Event:
         # the failing process.
         return None
 
+    def _stage(self) -> str:
+        if self._sched_time is None:
+            return "pending"
+        return "triggered" if self.callbacks is not None else "processed"
+
     def __repr__(self) -> str:
-        return f"<{type(self).__name__} #{self.eid} {self.state.value}>"
+        return f"<{type(self).__name__} #{self.eid} {self._stage()}>"
 
 
 @dataclass(frozen=True)
@@ -243,13 +236,12 @@ class Environment:
         event creation sequence. An event already triggered or processed
         cannot be scheduled again.
         """
-        if event.state is not _PENDING:
+        if event._sched_time is not None:
             raise LifecycleError(f"cannot schedule {event!r}: not pending")
         if event.env is not self:
             raise LifecycleError(f"{event!r} belongs to a different environment")
         if not (delay >= 0.0 and math.isfinite(delay)):
             raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
-        event.state = _TRIGGERED
         time = self._now + delay
         event._sched_time = time
         event._sched_priority = priority
@@ -275,12 +267,11 @@ class Environment:
         entry = heappop(self._queue)
         event = entry[3]
         self._now = entry[0]
-        event.state = _PROCESSED
         if event._ok is None:
             # Scheduled directly without an explicit outcome: plain success.
             event._ok = True
         callbacks = event.callbacks
-        event.callbacks = ()  # type: ignore[assignment]
+        event.callbacks = None
         for callback in callbacks:
             callback(event)
         if event._ok is False and not event._observed:
@@ -339,7 +330,7 @@ class Condition(Event):
         self._events = events
         self._need = len(events) if need_all else 1
         for ev in events:
-            if ev.processed:
+            if ev.callbacks is None:
                 self._on_constituent(ev)
             else:
                 ev.add_callback(self._on_constituent)
@@ -347,14 +338,14 @@ class Condition(Event):
     def _on_constituent(self, ev: Event) -> None:
         if ev._ok is False:
             ev._observed = True
-            if self.state is EventState.PENDING:
+            if self._sched_time is None:
                 self.fail(ev._value)
             return
-        if self.state is not EventState.PENDING:
+        if self._sched_time is not None:
             return
-        done = sum(1 for e in self._events if e.processed)
+        done = sum(1 for e in self._events if e.callbacks is None)
         if done >= self._need:
-            self.succeed({e: e._value for e in self._events if e.processed})
+            self.succeed({e: e._value for e in self._events if e.callbacks is None})
 
 
 def any_of(env: Environment, events: Iterable[Event]) -> Condition:

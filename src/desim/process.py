@@ -21,7 +21,6 @@ from .kernel import (
     EventFailed,
     LifecycleError,
 )
-from .kernel import _PROCESSED
 
 __all__ = ["Process", "Interrupted", "spawn"]
 
@@ -57,7 +56,7 @@ class Process(Event):
     @property
     def alive(self) -> bool:
         """True between spawn and the processing of the completion event."""
-        return self.state is not _PROCESSED
+        return self.callbacks is not None
 
     def interrupt(self, cause: Any = None) -> None:
         """Resume the process exceptionally with ``cause`` at its yield point.
@@ -122,7 +121,7 @@ class Process(Event):
                 what = ("its own completion" if target is self else
                         f"{target!r}, which is not an event of its environment")
                 raise LifecycleError(f"process {self.name!r} yielded {what}")
-            if target.state is not _PROCESSED:
+            if target.callbacks is not None:
                 target.callbacks.append(self._resume)
                 self._awaiting = target
                 return
@@ -134,7 +133,7 @@ class Process(Event):
         return self.name
 
     def __repr__(self) -> str:
-        return f"<Process {self.name!r} #{self.eid} {self.state.value}>"
+        return f"<Process {self.name!r} #{self.eid} {self._stage()}>"
 
 
 def spawn(env: Environment, body: Generator[Event, Any, Any],

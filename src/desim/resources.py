@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import deque
 from itertools import count
 
-from .kernel import Environment, Event, EventState, LifecycleError
+from .kernel import Environment, Event, LifecycleError
 
 __all__ = ["Resource", "Request", "Container", "ContainerGet", "ContainerPut"]
 
@@ -21,16 +21,21 @@ _serials = count()
 
 
 class Request(Event):
-    """Grant handle for one unit of a resource; succeeds when granted."""
+    """Grant handle for one unit of a resource; succeeds when granted.
 
-    __slots__ = ("resource", "granted", "released", "cancelled")
+    It is queued for processing exactly when granted; the resource's
+    ``users`` and ``wait_queue`` say whether it is held or still waiting.
+    """
+
+    __slots__ = ("resource",)
 
     def __init__(self, env: Environment, resource: "Resource"):
         super().__init__(env)
         self.resource = resource
-        self.granted = False
-        self.released = False
-        self.cancelled = False
+
+    @property
+    def granted(self) -> bool:
+        return not self.pending
 
 
 class Resource:
@@ -82,9 +87,8 @@ class Resource:
         """
         if rq.resource is not self:
             raise LifecycleError("request belongs to a different resource")
-        if not rq.granted or rq.released:
+        if rq not in self.users:
             raise LifecycleError("release of an ungranted or already-released request")
-        rq.released = True
         self.users.remove(rq)
         if self.wait_queue:
             self._grant(self.wait_queue.popleft())
@@ -97,13 +101,11 @@ class Resource:
         """
         if rq.granted:
             raise LifecycleError("cannot cancel a granted request; release it")
-        if rq.cancelled or rq.resource is not self:
+        if rq not in self.wait_queue:
             raise LifecycleError("cancel of an unknown or already-cancelled request")
         self.wait_queue.remove(rq)
-        rq.cancelled = True
 
     def _grant(self, rq: Request) -> None:
-        rq.granted = True
         self.users.append(rq)
         rq.succeed(rq)
 
@@ -115,13 +117,12 @@ class Resource:
 class ContainerGet(Event):
     """Pending withdrawal of a fixed amount; succeeds once stock suffices."""
 
-    __slots__ = ("container", "amount", "cancelled")
+    __slots__ = ("container", "amount")
 
     def __init__(self, env: Environment, container: "Container", amount: float):
         super().__init__(env)
         self.container = container
         self.amount = amount
-        self.cancelled = False
 
 
 class ContainerPut(Event):
@@ -192,10 +193,9 @@ class Container:
         race against a timeout); otherwise the queued get would eventually
         drain stock nobody consumes.
         """
-        if ev.container is not self or ev.cancelled or ev.state is not EventState.PENDING:
+        if ev not in self.get_queue:
             raise LifecycleError("cancel of an unknown, cancelled, or completed get")
         self.get_queue.remove(ev)
-        ev.cancelled = True
         # Removing a blocked head may make the new head satisfiable.
         self._settle()
 
