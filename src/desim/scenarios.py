@@ -218,7 +218,8 @@ class Philosopher:
         fed = True
         if self.bowl is not None:
             request = self.bowl.get(meal_size)
-            if cfg.impatient:
+            if cfg.impatient and not request.triggered:
+                # A withdrawal granted at once cannot lose to the deadline.
                 yield any_of(env, [request, env.timeout(cfg.max_food_wait)])
                 fed = request.processed
             else:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from desim import Container, Environment, Process, Resource
+from desim import Condition, Container, Environment, Process, Resource
 from desim.scenarios import (
     ALLOWED_TRANSITIONS,
     GIVE_UP_TRANSITION,
@@ -297,6 +297,25 @@ class TestImpatient:
         assert ph.total_give_ups >= 1, "expected an initial give-up on the empty bowl"
         assert ph.meals >= 1, "expected the chef to rescue later attempts"
         assert ph.meal_size == 20.0 * (1 + ph.give_ups)
+
+    def test_withdrawal_granted_at_once_starts_no_race(self):
+        # With rice in the bowl the withdrawal is granted when it is made,
+        # so it cannot lose to the deadline and no any_of race is started.
+        env = Environment(3)
+        conditions = []
+        def record(event):
+            if isinstance(event, Condition):
+                conditions.append(event)
+        env.on_processed = record
+        bowl = Container(env, init=1000.0, capacity=1000.0)
+        ph = make_solo_philosopher(
+            env,
+            config=PhilosopherConfig(ordered=True, impatient=True),
+            bowl=bowl,
+        )
+        env.run(until=400.0)
+        assert ph.meals == 20 and ph.total_give_ups == 0
+        assert conditions == []
 
     def test_impatient_requires_bowl(self):
         env = Environment(0)
