@@ -120,7 +120,13 @@ class Process(Event):
                 body.close()
                 what = ("its own completion" if target is self else
                         f"{target!r}, which is not an event of its environment")
-                raise LifecycleError(f"process {self.name!r} yielded {what}")
+                # Fail the process too, so whoever joins it is not left waiting.
+                error = LifecycleError(f"process {self.name!r} yielded {what}")
+                self._ok = False
+                self._value = error
+                self._observed = True  # raised right here, out of env.run
+                self.env.schedule(self, NORMAL, 0.0)
+                raise error
             if target.callbacks is not None:
                 target.callbacks.append(self._resume)
                 self._awaiting = target

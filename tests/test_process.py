@@ -92,6 +92,29 @@ class TestSuspension:
         # close before the error leaves the run can have run its finally.
         assert closed == [0.0]
 
+    def test_contract_violation_fails_the_process_for_its_joiner(self):
+        env = Environment(0)
+        caught = []
+        def parent():
+            try:
+                yield kid
+            except LifecycleError as exc:
+                caught.append((env.now, exc))
+        def child():
+            yield 42
+        dad = spawn(env, parent(), name="parent")
+        kid = spawn(env, child(), name="child")
+        with pytest.raises(LifecycleError) as raised:
+            env.run()
+        assert caught == []
+        # The error was raised out of the first run; the second delivers it
+        # to the parent instead of leaving the parent joined on a live child.
+        outcome = env.run()
+        assert caught == [(0.0, raised.value)]
+        assert kid.failed and kid.failure_cause is raised.value
+        assert not kid.alive and not dad.alive
+        assert outcome.exhausted
+
     def test_yield_own_completion_is_contract_violation(self):
         env = Environment(0)
         holder = {}
