@@ -21,7 +21,8 @@ from .scenarios import (
     counter_scenario,
     detect_deadlock,
 )
-from .stats import MM1Params, mm1_expected_wait, mm1_simulate, sweep, to_csv
+from .stats import (MM1Params, exponential_ks, mm1_expected_wait, mm1_simulate,
+                    sweep, to_csv)
 
 __all__ = ["main", "emit_trace", "console_main"]
 
@@ -184,23 +185,12 @@ def _cmd_sweep(args, stdout: IO[str]) -> int:
 
 
 def _cmd_validate(args, stdout: IO[str]) -> int:
-    checks: list[tuple[str, bool, str]] = []
-
-    from .rng import Rng
-    import math
-
-    rng = Rng(args.seed)
-    draws = sorted(rng.expovariate_mean(10.0) for _ in range(10_000))
-    n = len(draws)
-    ks = 0.0
-    for i, x in enumerate(draws):
-        cdf = 1.0 - math.exp(-x / 10.0)
-        ks = max(ks, (i + 1) / n - cdf, cdf - i / n)
-    checks.append((
+    ks = exponential_ks(args.seed, 10.0, 10_000)
+    checks = [(
         "exponential draws vs analytic CDF (KS, 1% level)",
         ks < KS_CRITICAL_1PCT_10K,
         f"statistic {ks:.5f} vs bound {KS_CRITICAL_1PCT_10K}",
-    ))
+    )]
 
     for lam, mu in ((0.05, 0.1), (0.01, 0.1)):
         params = MM1Params(lam, mu)

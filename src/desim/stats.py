@@ -11,12 +11,14 @@ resources compose correctly.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 from .kernel import Environment
 from .process import spawn
 from .resources import Resource
+from .rng import Rng
 from .scenarios import build_party, detect_deadlock
 
 __all__ = [
@@ -31,6 +33,7 @@ __all__ = [
     "MM1Params",
     "mm1_expected_wait",
     "mm1_simulate",
+    "exponential_ks",
 ]
 
 
@@ -204,3 +207,14 @@ def mm1_simulate(params: MM1Params, n_customers: int, seed: int = 0) -> float:
     spawn(env, arrivals(), name="mm1-arrivals")
     env.run()
     return sum(waits) / len(waits)
+
+
+def exponential_ks(seed: int, mean: float, n: int) -> float:
+    """Kolmogorov-Smirnov distance of ``n`` draws of ``Rng(seed)`` from Exp(mean)."""
+    rng = Rng(seed)
+    draws = sorted(rng.expovariate_mean(mean) for _ in range(n))
+    ks = 0.0
+    for i, x in enumerate(draws):
+        cdf = 1.0 - math.exp(-x / mean)
+        ks = max(ks, (i + 1) / n - cdf, cdf - i / n)
+    return ks

@@ -10,6 +10,7 @@ from desim.stats import (
     MM1Params,
     SweepResult,
     derive_seed,
+    exponential_ks,
     mm1_expected_wait,
     mm1_simulate,
     parse_csv,
@@ -17,6 +18,17 @@ from desim.stats import (
     sweep,
     to_csv,
 )
+
+
+def ks_by_hand(seed, mean=4.0, n=10_000):
+    """Independent oracle: KS distance of ``n`` draws from Exp(mean)."""
+    rng = Rng(seed)
+    draws = sorted(rng.expovariate_mean(mean) for _ in range(n))
+    stat = 0.0
+    for i, x in enumerate(draws):
+        cdf = 1.0 - math.exp(-x / mean)
+        stat = max(stat, (i + 1) / n - cdf, cdf - i / n)
+    return stat
 
 
 class TestRng:
@@ -41,14 +53,11 @@ class TestRng:
         # 1% critical value for n=10^4 draws is about 1.628/sqrt(n) = 0.01628.
         # Computed statistics for these seeds: 0.006732, 0.006445, 0.008395.
         for seed in (0, 7, 102):
-            rng = Rng(seed)
-            n = 10_000
-            draws = sorted(rng.expovariate_mean(4.0) for _ in range(n))
-            stat = 0.0
-            for i, x in enumerate(draws):
-                cdf = 1.0 - math.exp(-x / 4.0)
-                stat = max(stat, (i + 1) / n - cdf, cdf - i / n)
-            assert stat < 0.01628
+            assert ks_by_hand(seed) < 0.01628
+
+    @pytest.mark.parametrize("seed", [0, 7, 102])
+    def test_ks_helper_matches_the_oracle_exactly(self, seed):
+        assert exponential_ks(seed, 4.0, 10_000) == ks_by_hand(seed)
 
     def test_randint_bounds(self):
         rng = Rng(5)
