@@ -180,9 +180,8 @@ class Event:
         return None
 
     def _stage(self) -> str:
-        if self._sched_time is None:
-            return "pending"
-        return "triggered" if self.callbacks is not None else "processed"
+        return ("pending" if self._sched_time is None else
+                "triggered" if self.callbacks is not None else "processed")
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} #{self.eid} {self._stage()}>"
@@ -289,12 +288,8 @@ class Environment:
         exhaustion with the clock at the last processed time.
         """
         queue = self._queue
-        if until is None:
-            while self.step():
-                pass
-            return RunOutcome(exhausted=True, at=self._now)
-        horizon = float(until)
-        if not math.isfinite(horizon) or horizon < self._now:
+        horizon = math.inf if until is None else float(until)
+        if until is not None and not (math.isfinite(horizon) and horizon >= self._now):
             raise ValueError(f"until must be finite and >= now, got {until!r}")
         while queue and queue[0][0] <= horizon:
             self.step()
