@@ -21,11 +21,7 @@ _serials = count()
 
 
 class Request(Event):
-    """Grant handle for one unit of a resource; succeeds when granted.
-
-    It is queued for processing exactly when granted; the resource's
-    ``users`` and ``wait_queue`` say whether it is held or still waiting.
-    """
+    """Grant handle for one unit of a resource; succeeds when granted."""
 
     __slots__ = ("resource",)
 
@@ -35,6 +31,7 @@ class Request(Event):
 
     @property
     def granted(self) -> bool:
+        """A request is granted exactly when it is queued for processing."""
         return not self.pending
 
 
