@@ -15,7 +15,6 @@ from typing import IO, Iterable
 from .kernel import Environment, KernelError
 from .scenarios import (
     VARIANTS,
-    CounterConfig,
     TraceRecord,
     build_party,
     counter_scenario,
@@ -103,7 +102,6 @@ def _build_parser() -> _Parser:
                      help="number of base seeds (0..k-1) per cell")
     swp.add_argument("--workers", type=int, default=1,
                      help="parallel cell runners; rows stay in (n, seed) order")
-    swp.add_argument("--format", choices=("csv",), default="csv")
     swp.add_argument("--output", default=None)
 
     val = sub.add_parser("validate", help="known-answer checks of the kernel")
@@ -135,7 +133,7 @@ def _cmd_run(args, stdout: IO[str]) -> int:
         n = 10 if args.n is None else args.n
         if n < 1:
             raise _UsageError("--n must be >= 1 for the counter scenario")
-        result = counter_scenario(env, CounterConfig(n_customers=n), args.until)
+        result = counter_scenario(env, n, args.until)
         out.append(emit_trace(result.trace, args.format, precision))
     else:
         n = 5 if args.n is None else args.n

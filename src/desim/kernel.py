@@ -258,8 +258,10 @@ class Environment:
         """Process the next queued event; returns False iff the queue is empty.
 
         Advances the clock to the event's scheduled time, marks it processed
-        and runs its callbacks in registration order. A failure outcome that
-        no waiter observes raises :class:`UnhandledFailureError`.
+        and runs its callbacks in registration order. A callback that raises
+        does not stop the others: the first error is raised once all have run
+        and ``on_processed`` has seen the event. A failure outcome that no
+        waiter observes raises :class:`UnhandledFailureError`.
         """
         if not self._queue:
             return False
@@ -271,12 +273,19 @@ class Environment:
             event._ok = True
         callbacks = event.callbacks
         event.callbacks = None
+        error = None
         for callback in callbacks:
-            callback(event)
-        if event._ok is False and not event._observed:
-            raise UnhandledFailureError(event._value, event._process_name())
+            try:
+                callback(event)
+            except Exception as exc:
+                if error is None:
+                    error = exc
         if self.on_processed is not None:
             self.on_processed(event)
+        if error is not None:
+            raise error
+        if event._ok is False and not event._observed:
+            raise UnhandledFailureError(event._value, event._process_name())
         return True
 
     def run(self, until: float | None = None) -> RunOutcome:

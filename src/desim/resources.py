@@ -59,10 +59,6 @@ class Resource:
         """Number of requests waiting for a grant."""
         return len(self.wait_queue)
 
-    def counts(self) -> tuple[int, int]:
-        """(held grants, queued requests)."""
-        return len(self.users), len(self.wait_queue)
-
     def request(self) -> Request:
         """Ask for one unit; the returned event succeeds when granted.
 

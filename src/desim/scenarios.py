@@ -26,9 +26,6 @@ from .resources import Container, Resource
 
 __all__ = [
     "PhilosopherState",
-    "PhilosopherConfig",
-    "ChefConfig",
-    "CounterConfig",
     "TraceRecord",
     "CustomerFailed",
     "Philosopher",
@@ -43,6 +40,23 @@ __all__ = [
 ]
 
 VARIANTS = ("classic", "ordered", "bowl", "impatient")
+
+# Model timings in simulated time units. A diner thinks and eats for
+# exponential spells of mean THINK_MEAN and EAT_MEAN and pauses
+# SECOND_PICK_DELAY before reaching for the second chopstick. A meal takes
+# PORTION of rice, one PORTION more per consecutive give-up, and an impatient
+# diner gives up after MAX_FOOD_WAIT, half the chef's RESTOCK_PERIOD. The
+# counter serves a ticket in exactly SERVICE_DELAY, also the mean gap between
+# arrivals, and fails one service in FAIL_ONE_IN on average.
+THINK_MEAN = 10.0
+EAT_MEAN = 10.0
+SECOND_PICK_DELAY = 1.0
+PORTION = 20.0
+RESTOCK_PERIOD = 150.0
+MAX_FOOD_WAIT = RESTOCK_PERIOD / 2
+BOWL_CAPACITY = 1000.0
+SERVICE_DELAY = 10.0
+FAIL_ONE_IN = 10
 
 
 class PhilosopherState(Enum):
@@ -70,54 +84,6 @@ class TraceRecord(NamedTuple):
     message: str
 
 
-@dataclass(frozen=True)
-class PhilosopherConfig:
-    """Timing constants and behavior flags for one philosopher.
-
-    Delays are means of exponential distributions except the fixed pause
-    before reaching for the second chopstick. ``max_food_wait`` only matters
-    for impatient diners and defaults to half the chef's restock period.
-    """
-
-    think_mean: float = 10.0
-    eat_mean: float = 10.0
-    second_pick_delay: float = 1.0
-    portion: float = 20.0
-    max_food_wait: float = 75.0
-    ordered: bool = False
-    impatient: bool = False
-
-    def __post_init__(self) -> None:
-        for name in ("think_mean", "eat_mean", "second_pick_delay",
-                     "portion", "max_food_wait"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
-
-
-@dataclass(frozen=True)
-class ChefConfig:
-    restock_period: float = 150.0
-
-    def __post_init__(self) -> None:
-        if not self.restock_period > 0:
-            raise ValueError("restock_period must be positive")
-
-
-@dataclass(frozen=True)
-class CounterConfig:
-    service_delay: float = 10.0
-    n_customers: int = 10
-    fail_one_in: int = 10
-
-    def __post_init__(self) -> None:
-        if not self.service_delay > 0:
-            raise ValueError("service_delay must be positive")
-        if self.n_customers < 1:
-            raise ValueError("n_customers must be >= 1")
-        if self.fail_one_in < 1:
-            raise ValueError("fail_one_in must be >= 1")
-
-
 class CustomerFailed(Exception):
     """Service of a customer's ticket failed."""
 
@@ -134,26 +100,27 @@ class Philosopher:
     """
 
     def __init__(self, env: Environment, chopsticks, my_id: int,
-                 config: PhilosopherConfig | None = None,
+                 variant: str = "classic",
                  bowl: Container | None = None,
                  trace: list[TraceRecord] | None = None,
                  record_transitions: bool = False):
-        config = config or PhilosopherConfig()
+        if variant not in VARIANTS:
+            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
         pair = tuple(chopsticks)
         if len(pair) != 2:
             raise ValueError("a philosopher needs exactly two chopsticks")
-        if config.impatient and bowl is None:
+        if variant == "impatient" and bowl is None:
             raise ValueError("impatient philosophers need a bowl to give up on")
-        if config.ordered:
+        if variant != "classic":
             pair = tuple(sorted(pair, key=lambda c: c.serial))
         self.env = env
         self.id = my_id
-        self.config = config
+        self.variant = variant
         self.chopsticks = pair
         self.bowl = bowl
         self.waiting = 0.0
         self.meals = 0
-        self.meal_size = config.portion
+        self.meal_size = PORTION
         self.give_ups = 0        # consecutive give-ups since the last meal
         self.total_give_ups = 0
         self.rice_consumed = 0.0
@@ -175,22 +142,21 @@ class Philosopher:
 
     def _run(self):
         env = self.env
-        cfg = self.config
         rng = env.rng
         while True:
-            yield env.timeout(rng.expovariate_mean(cfg.think_mean))
+            yield env.timeout(rng.expovariate_mean(THINK_MEAN))
             self._enter(PhilosopherState.HUNGRY)
             rq1, rq2, fed = yield from self._get_hungry(self.meal_size)
             if fed:
                 self._enter(PhilosopherState.EATING)
                 self.meals += 1
-                yield env.timeout(rng.expovariate_mean(cfg.eat_mean))
-                self.meal_size = cfg.portion
+                yield env.timeout(rng.expovariate_mean(EAT_MEAN))
+                self.meal_size = PORTION
                 self.give_ups = 0
             else:
                 self.give_ups += 1
                 self.total_give_ups += 1
-                self.meal_size += cfg.portion
+                self.meal_size += PORTION
             self._enter(PhilosopherState.THINKING)
             self.chopsticks[0].release(rq1)
             self.chopsticks[1].release(rq2)
@@ -200,17 +166,16 @@ class Philosopher:
         """Take both chopsticks and, with a bowl, ``meal_size`` of rice.
 
         Returns both chopstick requests and whether food was reserved; only
-        an impatient diner can come away without it, after ``max_food_wait``.
+        an impatient diner can come away without it, after ``MAX_FOOD_WAIT``.
         """
         env = self.env
-        cfg = self.config
         start_waiting = env.now
         self._diag("requested chopstick")
         rq1 = self.chopsticks[0].request()
         yield rq1
         self._enter(PhilosopherState.HUNGRY_WITH_ONE)
         self._diag("obtained chopstick")
-        yield env.timeout(cfg.second_pick_delay)
+        yield env.timeout(SECOND_PICK_DELAY)
         self._diag("requested another chopstick")
         rq2 = self.chopsticks[1].request()
         yield rq2
@@ -218,9 +183,9 @@ class Philosopher:
         fed = True
         if self.bowl is not None:
             request = self.bowl.get(meal_size)
-            if cfg.impatient and not request.triggered:
+            if self.variant == "impatient" and not request.triggered:
                 # A withdrawal granted at once cannot lose to the deadline.
-                yield any_of(env, [request, env.timeout(cfg.max_food_wait)])
+                yield any_of(env, [request, env.timeout(MAX_FOOD_WAIT)])
                 fed = request.processed
             else:
                 yield request
@@ -236,22 +201,19 @@ class Philosopher:
 
 
 class Chef:
-    """Tops the bowl back up to capacity every ``restock_period`` time units."""
+    """Tops the bowl back up to capacity every ``RESTOCK_PERIOD`` time units."""
 
-    def __init__(self, env: Environment, bowl: Container,
-                 config: ChefConfig | None = None):
+    def __init__(self, env: Environment, bowl: Container):
         self.env = env
         self.bowl = bowl
-        self.config = config or ChefConfig()
         self.total_restocked = 0.0
         self.handle = spawn(env, self._replenish(), name="chef")
 
     def _replenish(self):
         env = self.env
         bowl = self.bowl
-        period = self.config.restock_period
         while True:
-            yield env.timeout(period)
+            yield env.timeout(RESTOCK_PERIOD)
             if bowl.level < bowl.capacity:
                 amount = bowl.capacity - bowl.level
                 yield bowl.put(amount)
@@ -266,8 +228,6 @@ class Party:
     chef: Chef | None = None
 
 
-BOWL_CAPACITY = 1000.0
-
 
 def build_party(env: Environment, n: int, variant: str,
                 trace: list[TraceRecord] | None = None,
@@ -277,20 +237,16 @@ def build_party(env: Environment, n: int, variant: str,
     Philosopher ``i`` is handed (chopstick ``i``, chopstick ``(i+1) mod n``);
     the bowl variants add a full rice container and a chef.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"a party needs at least 2 philosophers, got {n!r}")
     bowl = chef = None
     if variant in ("bowl", "impatient"):
         bowl = Container(env, init=BOWL_CAPACITY, capacity=BOWL_CAPACITY)
         chef = Chef(env, bowl)
-    config = PhilosopherConfig(ordered=variant != "classic",
-                               impatient=variant == "impatient")
     chopsticks = [Resource(env, capacity=1) for _ in range(n)]
     philosophers = [
         Philosopher(env, (chopsticks[i], chopsticks[(i + 1) % n]), i,
-                    config, bowl, trace, record_transitions)
+                    variant, bowl, trace, record_transitions)
         for i in range(n)
     ]
     return Party(philosophers, chopsticks, bowl, chef)
@@ -317,20 +273,21 @@ class CounterResult:
     outcome: RunOutcome
 
 
-def counter_scenario(env: Environment, config: CounterConfig | None = None,
+def counter_scenario(env: Environment, n_customers: int = 10,
                      until: float | None = None) -> CounterResult:
     """Run the service-counter model and return its trace and per-customer log.
 
     Customers arrive with exponential interarrival gaps, append a ticket
     event to the service line and wake the operator if it fell asleep. The
-    operator serves the head ticket after exactly ``service_delay``, failing
-    one service in ``fail_one_in`` on average; with nothing to do it sleeps
+    operator serves the head ticket after exactly ``SERVICE_DELAY``, failing
+    one service in ``FAIL_ONE_IN`` on average; with nothing to do it sleeps
     on an event nobody ever triggers until a customer interrupts it.
     """
-    cfg = config or CounterConfig()
+    if n_customers < 1:
+        raise ValueError("n_customers must be >= 1")
     trace: list[TraceRecord] = []
     line: deque[Event] = deque()
-    records = [CustomerRecord(i) for i in range(cfg.n_customers)]
+    records = [CustomerRecord(i) for i in range(n_customers)]
     owner: dict[Event, CustomerRecord] = {}
     idle = False
 
@@ -358,7 +315,7 @@ def counter_scenario(env: Environment, config: CounterConfig | None = None,
     def customer_generator():
         for record in records:
             spawn(env, customer(record), name=f"customer-{record.index}")
-            yield env.timeout(env.rng.expovariate_mean(cfg.service_delay))
+            yield env.timeout(env.rng.expovariate_mean(SERVICE_DELAY))
 
     def counter():
         nonlocal idle
@@ -366,8 +323,8 @@ def counter_scenario(env: Environment, config: CounterConfig | None = None,
             if line:
                 ticket = line.popleft()
                 owner[ticket].service_start = env.now
-                yield env.timeout(cfg.service_delay)
-                if env.rng.randint(0, cfg.fail_one_in - 1) == cfg.fail_one_in - 1:
+                yield env.timeout(SERVICE_DELAY)
+                if env.rng.randint(0, FAIL_ONE_IN - 1) == FAIL_ONE_IN - 1:
                     ticket.fail(CustomerFailed())
                 else:
                     ticket.succeed()

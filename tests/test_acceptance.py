@@ -13,7 +13,6 @@ import pytest
 from desim import Environment
 from desim.cli import main
 from desim.scenarios import (
-    CounterConfig,
     PhilosopherState,
     build_party,
     counter_scenario,
@@ -163,7 +162,7 @@ class TestCriterion6Counter:
         fractions = []
         for seed in range(10):
             env = Environment(seed)
-            result = counter_scenario(env, CounterConfig(n_customers=1000))
+            result = counter_scenario(env, n_customers=1000)
             customers = result.customers
 
             assert all(c.departure is not None for c in customers), \

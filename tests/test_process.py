@@ -115,6 +115,29 @@ class TestSuspension:
         assert not kid.alive and not dad.alive
         assert outcome.exhausted
 
+    def test_contract_violation_does_not_strand_other_waiters(self):
+        env = Environment(0)
+        processed = []
+        env.on_processed = processed.append
+        tick = env.timeout(1.0)
+        resumed = []
+        def bad():
+            yield tick
+            yield 42
+        def good():
+            yield tick
+            resumed.append(env.now)
+        spawn(env, bad(), name="bad")
+        other = spawn(env, good(), name="good")
+        with pytest.raises(LifecycleError):
+            env.run()
+        # The timeout finished processing although one of its callbacks
+        # raised: the other waiter was resumed and the hook saw the event.
+        assert tick in processed
+        assert resumed == [1.0]
+        env.run()
+        assert other.succeeded and not other.alive
+
     def test_yield_own_completion_is_contract_violation(self):
         env = Environment(0)
         holder = {}

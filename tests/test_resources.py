@@ -17,14 +17,15 @@ class TestResource:
 
     def test_idle_counts(self):
         env = Environment(0)
-        assert Resource(env, capacity=1).counts() == (0, 0)
+        res = Resource(env, capacity=1)
+        assert (res.count, res.queued) == (0, 0)
 
     def test_grants_up_to_capacity_then_queues(self):
         env = Environment(0)
         res = Resource(env, capacity=2)
         r1, r2, r3 = res.request(), res.request(), res.request()
         assert (r1.granted, r2.granted, r3.granted) == (True, True, False)
-        assert res.counts() == (2, 1)
+        assert (res.count, res.queued) == (2, 1)
 
     def test_one_holder_two_waiters(self):
         env = Environment(0)
@@ -32,7 +33,7 @@ class TestResource:
         res.request()
         res.request()
         res.request()
-        assert res.counts() == (1, 2)
+        assert (res.count, res.queued) == (1, 2)
 
     def test_grant_happens_at_request_timestamp(self):
         env = Environment(0)

@@ -7,10 +7,7 @@ from desim.scenarios import (
     ALLOWED_TRANSITIONS,
     GIVE_UP_TRANSITION,
     Chef,
-    ChefConfig,
-    CounterConfig,
     Philosopher,
-    PhilosopherConfig,
     PhilosopherState,
     build_party,
     counter_scenario,
@@ -82,7 +79,7 @@ class TestPhilosopher:
         bowl = Container(env, init=0.0, capacity=1000.0)  # starved, no chef
         ph = make_solo_philosopher(
             env,
-            config=PhilosopherConfig(ordered=True, impatient=True),
+            variant="impatient",
             bowl=bowl,
             record_transitions=True,
         )
@@ -90,6 +87,11 @@ class TestPhilosopher:
         edges = {(src, dst) for _, src, dst in ph.transitions}
         assert GIVE_UP_TRANSITION in edges
         assert (PhilosopherState.HUNGRY_WITH_ONE, PhilosopherState.EATING) not in edges
+
+    def test_unknown_variant_rejected(self):
+        env = Environment(0)
+        with pytest.raises(ValueError, match="unknown variant"):
+            make_solo_philosopher(env, variant="banquet")
 
 
 class TestClassicDeadlock:
@@ -164,7 +166,6 @@ class TestBuildParty:
         party = build_party(env, 5, "bowl")
         assert party.bowl is not None and party.chef is not None
         assert party.bowl.level == 1000.0 and party.bowl.capacity == 1000.0
-        assert party.chef.config.restock_period == 150.0
         assert all(ph.bowl is party.bowl for ph in party.philosophers)
 
     def test_classic_and_ordered_have_no_bowl(self):
@@ -178,8 +179,7 @@ class TestBowlAndChef:
         env = Environment(3)
         trace = []
         bowl = Container(env, init=1000.0, capacity=1000.0)
-        make_solo_philosopher(env, config=PhilosopherConfig(ordered=True),
-                              bowl=bowl, trace=trace)
+        make_solo_philosopher(env, variant="bowl", bowl=bowl, trace=trace)
         env.run(until=30.0)
         assert "reserved food" in [r.message for r in trace]
         assert bowl.level <= 980.0
@@ -201,6 +201,15 @@ class TestBowlAndChef:
         # Three meals of 20 before the first restock check at t=150.
         assert bowl.level == 1000.0
         assert chef.total_restocked == 60.0
+
+    def test_chef_restocks_once_a_restock_period(self):
+        env = Environment(0)
+        bowl = Container(env, init=0.0, capacity=1000.0)
+        Chef(env, bowl)
+        env.run(until=149.9)
+        assert bowl.level == 0.0
+        env.run(until=150.0)
+        assert bowl.level == 1000.0
 
     def test_chef_skips_restock_when_full(self):
         env = Environment(0)
@@ -226,7 +235,7 @@ class TestImpatient:
         bowl = Container(env, init=0.0, capacity=1000.0)  # chef never spawned
         ph = make_solo_philosopher(
             env,
-            config=PhilosopherConfig(ordered=True, impatient=True),
+            variant="impatient",
             bowl=bowl,
             trace=trace,
         )
@@ -234,7 +243,7 @@ class TestImpatient:
         gave_ups = [r for r in trace if r.message == "gave up"]
         assert len(gave_ups) >= 2, "a dead chef means perpetual give-ups"
         assert ph.meals == 0
-        # The give-up lands exactly max_food_wait after the second grant.
+        # The give-up lands exactly MAX_FOOD_WAIT after the second grant.
         second_grants = [r.time for r in trace if r.message == "obtained another chopstick"]
         assert gave_ups[0].time == second_grants[0] + 75.0
         # Escalation: one extra portion per consecutive give-up.
@@ -248,12 +257,12 @@ class TestImpatient:
         bowl = Container(env, init=0.0, capacity=1000.0)
         ph = make_solo_philosopher(
             env,
-            config=PhilosopherConfig(ordered=True, impatient=True),
+            variant="impatient",
             bowl=bowl,
         )
         env.run(until=200.0)
         assert ph.total_give_ups >= 1
-        # Each failed attempt contributes pickup pause + max_food_wait.
+        # Each failed attempt contributes pickup pause + MAX_FOOD_WAIT.
         assert ph.waiting >= ph.total_give_ups * 76.0
 
     def test_chopsticks_come_back_after_giving_up(self):
@@ -261,7 +270,7 @@ class TestImpatient:
         bowl = Container(env, init=0.0, capacity=1000.0)
         ph = make_solo_philosopher(
             env,
-            config=PhilosopherConfig(ordered=True, impatient=True),
+            variant="impatient",
             bowl=bowl,
             record_transitions=True,
         )
@@ -286,10 +295,10 @@ class TestImpatient:
         env = Environment(4)
         trace = []
         bowl = Container(env, init=0.0, capacity=1000.0)
-        Chef(env, bowl, ChefConfig(restock_period=100.0))
+        Chef(env, bowl)
         ph = make_solo_philosopher(
             env,
-            config=PhilosopherConfig(ordered=True, impatient=True),
+            variant="impatient",
             bowl=bowl,
             trace=trace,
         )
@@ -310,7 +319,7 @@ class TestImpatient:
         bowl = Container(env, init=1000.0, capacity=1000.0)
         ph = make_solo_philosopher(
             env,
-            config=PhilosopherConfig(ordered=True, impatient=True),
+            variant="impatient",
             bowl=bowl,
         )
         env.run(until=400.0)
@@ -320,7 +329,7 @@ class TestImpatient:
     def test_impatient_requires_bowl(self):
         env = Environment(0)
         with pytest.raises(ValueError):
-            make_solo_philosopher(env, config=PhilosopherConfig(impatient=True))
+            make_solo_philosopher(env, variant="impatient")
 
     def test_everyone_satisfies_escalation_ledger_in_a_real_party(self):
         env = Environment(8)
@@ -363,20 +372,20 @@ class TestCounter:
 
     def test_departures_follow_arrival_order(self):
         env = Environment(5)
-        result = counter_scenario(env, CounterConfig(n_customers=50))
+        result = counter_scenario(env, n_customers=50)
         resolved = sorted(result.customers, key=lambda c: (c.departure, c.index))
         assert [c.index for c in resolved] == list(range(50))
         assert all(c.departure is not None for c in result.customers)
 
     def test_successful_service_takes_exactly_the_service_delay(self):
         env = Environment(5)
-        result = counter_scenario(env, CounterConfig(n_customers=50))
+        result = counter_scenario(env, n_customers=50)
         for c in result.customers:
             assert c.departure == c.service_start + 10.0
 
     def test_failed_customers_traced_and_flagged(self):
         env = Environment(1)
-        result = counter_scenario(env, CounterConfig(n_customers=200))
+        result = counter_scenario(env, n_customers=200)
         failures = [c for c in result.customers if c.failed]
         assert failures, "with 200 customers some services should fail"
         failed_lines = [r for r in result.trace if r.message == "failed (and left)"]
@@ -384,7 +393,7 @@ class TestCounter:
 
     def test_trace_times_nondecreasing(self):
         env = Environment(9)
-        result = counter_scenario(env, CounterConfig(n_customers=40))
+        result = counter_scenario(env, n_customers=40)
         times = [r.time for r in result.trace]
         assert times == sorted(times)
 
@@ -396,11 +405,7 @@ class TestCounter:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            CounterConfig(n_customers=0)
-        with pytest.raises(ValueError):
-            CounterConfig(service_delay=0.0)
-        with pytest.raises(ValueError):
-            CounterConfig(fail_one_in=0)
+            counter_scenario(Environment(0), n_customers=0)
 
     def test_horizon_cuts_the_scenario_short(self):
         env = Environment(3)
