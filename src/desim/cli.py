@@ -34,6 +34,10 @@ FALLBACK_PRECISION = 6
 
 KS_CRITICAL_1PCT_10K = 0.01628  # 1.628 / sqrt(10_000)
 
+# Horizon of a classic run without --until: a large classic party may
+# practically never deadlock, and so never run out of events.
+CLASSIC_HORIZON = 1e6
+
 
 class _UsageError(Exception):
     pass
@@ -82,10 +86,9 @@ def _build_parser() -> _Parser:
                      help="party size (default 5) or customer count (default 10)")
     run.add_argument("--seed", type=int, default=0)
     run.add_argument("--until", type=float, default=None,
-                     help="time horizon; default runs to exhaustion, which "
-                          "only classic and counter do, and a classic party "
-                          "only by deadlocking: a large one (n >= 8) may "
-                          "practically never stop without a horizon")
+                     help="time horizon; required for ordered, bowl and "
+                          "impatient; default: counter runs to exhaustion, "
+                          "classic to deadlock or t=1e6")
     run.add_argument("--diag", action="store_true",
                      help="emit per-event trace lines for philosopher scenarios")
     run.add_argument("--format", choices=("human", "jsonl"), default="human")
@@ -143,9 +146,10 @@ def _cmd_run(args, stdout: IO[str]) -> int:
             # Only a classic party can run out of events (by deadlocking).
             raise _UsageError(f"--until is required for the {args.scenario} "
                               f"scenario, which never runs to exhaustion")
+        until = CLASSIC_HORIZON if args.until is None else args.until
         trace = [] if args.diag else None
         party = build_party(env, n, args.scenario, trace=trace)
-        outcome = env.run(args.until)
+        outcome = env.run(until)
         if trace is not None:
             out.append(emit_trace(trace, args.format, precision))
         if args.format == "human":
@@ -230,3 +234,7 @@ def main(argv: list[str] | None = None, stdout: IO[str] | None = None,
 
 def console_main() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    console_main()

@@ -141,11 +141,9 @@ class Event:
 
     def succeed(self, value: Any = None) -> None:
         """Set a success outcome and queue the event at the current time."""
-        if self._sched_time is not None:
-            raise LifecycleError(f"cannot succeed {self!r}: not pending")
+        self.env.schedule(self)
         self._ok = True
         self._value = value
-        self.env.schedule(self)
 
     def fail(self, cause: Any) -> None:
         """Set a failure outcome and queue the event at the current time.
@@ -154,11 +152,9 @@ class Event:
         instance it is raised as-is at their yield points, otherwise it is
         wrapped in :class:`EventFailed`.
         """
-        if self._sched_time is not None:
-            raise LifecycleError(f"cannot fail {self!r}: not pending")
+        self.env.schedule(self)
         self._ok = False
         self._value = cause
-        self.env.schedule(self)
 
     def add_callback(self, callback: Callable[["Event"], None]) -> None:
         """Register a callback invoked with this event when it is processed."""

@@ -14,7 +14,6 @@ from __future__ import annotations
 from typing import Any, Generator
 
 from .kernel import (
-    NORMAL,
     URGENT,
     Environment,
     Event,
@@ -108,13 +107,11 @@ class Process(Event):
                     target = body.throw(
                         cause if isinstance(cause, BaseException) else EventFailed(cause))
             except StopIteration as stop:
-                self._ok = True
-                self._value = stop.value
-                break
+                self.succeed(stop.value)
+                return
             except Exception as failure:
-                self._ok = False
-                self._value = failure
-                break
+                self.fail(failure)
+                return
             if (not isinstance(target, Event) or target.env is not self.env
                     or target is self):
                 body.close()
@@ -122,10 +119,8 @@ class Process(Event):
                         f"{target!r}, which is not an event of its environment")
                 # Fail the process too, so whoever joins it is not left waiting.
                 error = LifecycleError(f"process {self.name!r} yielded {what}")
-                self._ok = False
-                self._value = error
                 self._observed = True  # raised right here, out of env.run
-                self.env.schedule(self, NORMAL, 0.0)
+                self.fail(error)
                 raise error
             if target.callbacks is not None:
                 target.callbacks.append(self._resume)
@@ -133,7 +128,6 @@ class Process(Event):
                 return
             # Already settled: continue in place without suspending.
             event = target
-        self.env.schedule(self, NORMAL, 0.0)
 
     def _process_name(self) -> str | None:
         return self.name

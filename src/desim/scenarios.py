@@ -143,10 +143,40 @@ class Philosopher:
     def _run(self):
         env = self.env
         rng = env.rng
+        first, second = self.chopsticks
+        bowl = self.bowl
+        impatient = self.variant == "impatient"
         while True:
             yield env.timeout(rng.expovariate_mean(THINK_MEAN))
             self._enter(PhilosopherState.HUNGRY)
-            rq1, rq2, fed = yield from self._get_hungry(self.meal_size)
+            start_waiting = env.now
+            self._diag("requested chopstick")
+            rq1 = first.request()
+            yield rq1
+            self._enter(PhilosopherState.HUNGRY_WITH_ONE)
+            self._diag("obtained chopstick")
+            yield env.timeout(SECOND_PICK_DELAY)
+            self._diag("requested another chopstick")
+            rq2 = second.request()
+            yield rq2
+            self._diag("obtained another chopstick")
+            fed = True
+            if bowl is not None:
+                request = bowl.get(self.meal_size)
+                if impatient and not request.triggered:
+                    # A withdrawal granted at once cannot lose to the deadline.
+                    yield any_of(env, [request, env.timeout(MAX_FOOD_WAIT)])
+                    fed = request.processed
+                else:
+                    yield request
+                if fed:
+                    self._diag("reserved food")
+                    self.rice_consumed += self.meal_size
+                else:
+                    self._diag("gave up")
+                    # The abandoned withdrawal must not drain stock later.
+                    bowl.cancel_get(request)
+            self.waiting += env.now - start_waiting
             if fed:
                 self._enter(PhilosopherState.EATING)
                 self.meals += 1
@@ -158,46 +188,9 @@ class Philosopher:
                 self.total_give_ups += 1
                 self.meal_size += PORTION
             self._enter(PhilosopherState.THINKING)
-            self.chopsticks[0].release(rq1)
-            self.chopsticks[1].release(rq2)
+            first.release(rq1)
+            second.release(rq2)
             self._diag("released the chopsticks")
-
-    def _get_hungry(self, meal_size: float):
-        """Take both chopsticks and, with a bowl, ``meal_size`` of rice.
-
-        Returns both chopstick requests and whether food was reserved; only
-        an impatient diner can come away without it, after ``MAX_FOOD_WAIT``.
-        """
-        env = self.env
-        start_waiting = env.now
-        self._diag("requested chopstick")
-        rq1 = self.chopsticks[0].request()
-        yield rq1
-        self._enter(PhilosopherState.HUNGRY_WITH_ONE)
-        self._diag("obtained chopstick")
-        yield env.timeout(SECOND_PICK_DELAY)
-        self._diag("requested another chopstick")
-        rq2 = self.chopsticks[1].request()
-        yield rq2
-        self._diag("obtained another chopstick")
-        fed = True
-        if self.bowl is not None:
-            request = self.bowl.get(meal_size)
-            if self.variant == "impatient" and not request.triggered:
-                # A withdrawal granted at once cannot lose to the deadline.
-                yield any_of(env, [request, env.timeout(MAX_FOOD_WAIT)])
-                fed = request.processed
-            else:
-                yield request
-            if fed:
-                self._diag("reserved food")
-                self.rice_consumed += meal_size
-            else:
-                self._diag("gave up")
-                # The abandoned withdrawal must not drain stock later.
-                self.bowl.cancel_get(request)
-        self.waiting += env.now - start_waiting
-        return rq1, rq2, fed
 
 
 class Chef:

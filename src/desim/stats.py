@@ -57,8 +57,6 @@ class SweepResult:
 
 def simulate(n: int, t: float, variant: str = "ordered", seed: int = 0) -> SweepResult:
     """Run one fresh party for up to ``t`` time units and aggregate waiting."""
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"party size must be an integer >= 2, got {n!r}")
     if not t > 0:
         raise ValueError(f"horizon must be > 0, got {t!r}")
     env = Environment(seed)

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -85,6 +89,16 @@ class TestRunCommand:
         lines = out.splitlines()
         assert lines[0].startswith("reached horizon at t=100.000000")
         assert lines[1].startswith("mean waiting time ")
+
+    def test_large_classic_party_stops_at_default_horizon(self):
+        # Seed 0 at n=8 does not deadlock, so without --until the run would
+        # never run out of events.
+        code, out, err = run_cli("run", "--scenario", "classic", "--n", "8",
+                                 "--seed", "0")
+        assert code == 0 and err == ""
+        lines = out.splitlines()
+        assert lines[-2] == "reached horizon at t=1000000.000000"
+        assert lines[-1].startswith("mean waiting time ")
 
     def test_jsonl_run_parses(self):
         code, out, _ = run_cli("run", "--scenario", "counter", "--seed", "3",
@@ -177,6 +191,25 @@ class TestExitCodes:
         code, _, err = run_cli("run", "--scenario", "counter")
         assert code == 2
         assert "simulation error" in err and "counter" in err
+
+
+def run_module(*argv):
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    return subprocess.run([sys.executable, "-m", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestModuleEntryPoints:
+    def test_cli_module_runs_main(self):
+        proc = run_module("desim.cli", "sweep", "--scenario", "ordered", "--n", "2",
+                          "--seeds", "1", "--until", "100", "--format", "csv")
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert "usage error" in proc.stderr
+
+    def test_package_module_runs_main(self):
+        proc = run_module("desim", "run", "--scenario", "counter", "--n", "2")
+        assert proc.returncode == 0 and proc.stderr == ""
+        assert proc.stdout.splitlines()[-1] == "Customer left @20.0"
 
 
 class TestValidateCommand:

@@ -183,6 +183,19 @@ class TestOutcome:
         with pytest.raises(LifecycleError):
             ev.fail(RuntimeError())
 
+    def test_rejected_trigger_leaves_outcome_untouched(self):
+        env = Environment(0)
+        ev = env.event()
+        ev.succeed(1)
+        key = ev.schedule_key
+        with pytest.raises(LifecycleError):
+            ev.succeed(2)
+        with pytest.raises(LifecycleError):
+            ev.fail(RuntimeError())
+        assert ev.schedule_key == key
+        env.run()
+        assert ev.succeeded and ev.value == 1
+
     def test_unobserved_failure_aborts_run(self):
         env = Environment(0)
         ev = env.event()

@@ -185,7 +185,7 @@ class TestRequest:
         res, other = Resource(env, capacity=1), Resource(env, capacity=1)
         granted = res.request()
         queued = res.request()
-        with pytest.raises(LifecycleError):
+        with pytest.raises(LifecycleError, match="different resource"):
             other.release(granted)
         with pytest.raises(LifecycleError):
             other.cancel(queued)

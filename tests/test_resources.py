@@ -125,7 +125,7 @@ class TestResource:
         env = Environment(0)
         res = Resource(env, capacity=1)
         rq = res.request()
-        with pytest.raises(LifecycleError):
+        with pytest.raises(LifecycleError, match="release it"):
             res.cancel(rq)
 
     def test_cancel_twice_is_error(self):
