@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import IO, Iterable
 
@@ -26,11 +27,6 @@ from .stats import (MM1Params, exponential_ks, mm1_expected_wait, mm1_simulate,
 __all__ = ["main", "emit_trace", "console_main"]
 
 SCENARIOS = VARIANTS + ("counter",)
-
-# Default time precision in human output: the counter model is traditionally
-# reported at one decimal, the philosopher traces at six.
-DEFAULT_PRECISION = {"counter": 1}
-FALLBACK_PRECISION = 6
 
 KS_CRITICAL_1PCT_10K = 0.01628  # 1.628 / sqrt(10_000)
 
@@ -124,11 +120,13 @@ def _write(stream: IO[str], path: str | None, text: str) -> None:
 def _cmd_run(args, stdout: IO[str]) -> int:
     precision = args.precision
     if precision is None:
-        precision = DEFAULT_PRECISION.get(args.scenario, FALLBACK_PRECISION)
+        # Default time precision in human output: the counter model is
+        # traditionally reported at one decimal, the philosopher traces at six.
+        precision = 1 if args.scenario == "counter" else 6
     if precision < 0:
         raise _UsageError("--precision must be >= 0")
-    if args.until is not None and args.until < 0:
-        raise _UsageError("--until must be >= 0")
+    if args.until is not None and not 0 <= args.until < math.inf:
+        raise _UsageError("--until must be finite and >= 0")
 
     env = Environment(args.seed)
     out: list[str] = []
@@ -146,6 +144,10 @@ def _cmd_run(args, stdout: IO[str]) -> int:
             # Only a classic party can run out of events (by deadlocking).
             raise _UsageError(f"--until is required for the {args.scenario} "
                               f"scenario, which never runs to exhaustion")
+        if args.format == "jsonl" and not args.diag:
+            # jsonl carries trace records only, not the report lines.
+            raise _UsageError("--format jsonl prints a party's trace, "
+                              "which needs --diag")
         until = CLASSIC_HORIZON if args.until is None else args.until
         trace = [] if args.diag else None
         party = build_party(env, n, args.scenario, trace=trace)
@@ -176,8 +178,8 @@ def _cmd_sweep(args, stdout: IO[str]) -> int:
         raise _UsageError("party sizes must be >= 2")
     if args.seeds < 1:
         raise _UsageError("--seeds must be >= 1")
-    if not args.until > 0:
-        raise _UsageError("--until must be > 0")
+    if not 0 < args.until < math.inf:
+        raise _UsageError("--until must be finite and > 0")
     if args.workers < 1:
         raise _UsageError("--workers must be >= 1")
     results = sweep(args.scenario, ns, args.until, range(args.seeds),

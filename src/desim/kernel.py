@@ -76,7 +76,8 @@ class Event:
     once, in registration order, when the event is processed.
 
     The lifecycle is read off two fields: an event is pending while
-    ``_sched_time`` is None, and processed once ``callbacks`` is None.
+    ``_sched_time`` is None, and processed once ``callbacks`` is None. The
+    outcome is a success unless ``fail`` cleared ``_ok``.
     """
 
     __slots__ = ("env", "eid", "callbacks", "_ok", "_value", "_observed",
@@ -87,7 +88,7 @@ class Event:
         self.eid = eid = env._eid_counter
         env._eid_counter = eid + 1
         self.callbacks: list[Callable[["Event"], None]] | None = []
-        self._ok: bool | None = None
+        self._ok = True
         self._value: Any = None
         self._observed = False
         self._sched_time: float | None = None
@@ -110,11 +111,11 @@ class Event:
 
     @property
     def succeeded(self) -> bool:
-        return self.callbacks is None and self._ok is True
+        return self.callbacks is None and self._ok
 
     @property
     def failed(self) -> bool:
-        return self.callbacks is None and self._ok is False
+        return self.callbacks is None and not self._ok
 
     @property
     def value(self) -> Any:
@@ -142,7 +143,6 @@ class Event:
     def succeed(self, value: Any = None) -> None:
         """Set a success outcome and queue the event at the current time."""
         self.env.schedule(self)
-        self._ok = True
         self._value = value
 
     def fail(self, cause: Any) -> None:
@@ -245,7 +245,6 @@ class Environment:
     def timeout(self, delay: float, value: Any = None) -> Event:
         """Event that succeeds ``delay`` time units from now."""
         ev = Event(self)
-        ev._ok = True
         ev._value = value
         self.schedule(ev, NORMAL, delay)
         return ev
@@ -264,9 +263,6 @@ class Environment:
         entry = heappop(self._queue)
         event = entry[3]
         self._now = entry[0]
-        if event._ok is None:
-            # Scheduled directly without an explicit outcome: plain success.
-            event._ok = True
         callbacks = event.callbacks
         event.callbacks = None
         error = None
@@ -280,7 +276,7 @@ class Environment:
             self.on_processed(event)
         if error is not None:
             raise error
-        if event._ok is False and not event._observed:
+        if not event._ok and not event._observed:
             raise UnhandledFailureError(event._value, event._process_name())
         return True
 
@@ -317,7 +313,7 @@ class Condition(Event):
     triggers, so a losing branch cannot abort the run.
     """
 
-    __slots__ = ("_events", "_need")
+    __slots__ = ("_events", "_left")
 
     def __init__(self, env: Environment, events: Iterable[Event], need_all: bool):
         events = list(events)
@@ -328,7 +324,7 @@ class Condition(Event):
                 raise LifecycleError(f"{ev!r} belongs to a different environment")
         super().__init__(env)
         self._events = events
-        self._need = len(events) if need_all else 1
+        self._left = len(events) if need_all else 1
         for ev in events:
             if ev.callbacks is None:
                 self._on_constituent(ev)
@@ -336,15 +332,13 @@ class Condition(Event):
                 ev.add_callback(self._on_constituent)
 
     def _on_constituent(self, ev: Event) -> None:
-        if ev._ok is False:
+        if not ev._ok:
             ev._observed = True
             if self._sched_time is None:
                 self.fail(ev._value)
             return
-        if self._sched_time is not None:
-            return
-        done = sum(1 for e in self._events if e.callbacks is None)
-        if done >= self._need:
+        self._left -= 1
+        if self._left == 0 and self._sched_time is None:
             self.succeed({e: e._value for e in self._events if e.callbacks is None})
 
 

@@ -70,7 +70,7 @@ class Process(Event):
         arrives after the body has completed is dropped. Interrupting a
         completed process is an error.
         """
-        if self._ok is not None:
+        if self._sched_time is not None:
             raise LifecycleError(f"cannot interrupt completed process {self.name!r}")
         self._wake(Interrupted(cause))
 
@@ -88,7 +88,7 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Run the body from its yield point with ``event``'s outcome."""
-        if self._ok is not None:
+        if self._sched_time is not None:
             # The body completed before this wake arrived (e.g. a prior
             # interrupt ended it); nothing to resume.
             return

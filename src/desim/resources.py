@@ -110,22 +110,20 @@ class Resource:
 class ContainerGet(Event):
     """Pending withdrawal of a fixed amount; succeeds once stock suffices."""
 
-    __slots__ = ("container", "amount")
+    __slots__ = ("amount",)
 
-    def __init__(self, env: Environment, container: "Container", amount: float):
+    def __init__(self, env: Environment, amount: float):
         super().__init__(env)
-        self.container = container
         self.amount = amount
 
 
 class ContainerPut(Event):
     """Pending deposit of a fixed amount; succeeds once it fits the capacity."""
 
-    __slots__ = ("container", "amount")
+    __slots__ = ("amount",)
 
-    def __init__(self, env: Environment, container: "Container", amount: float):
+    def __init__(self, env: Environment, amount: float):
         super().__init__(env)
-        self.container = container
         self.amount = amount
 
 
@@ -158,7 +156,7 @@ class Container:
         if amount > self.capacity:
             raise ValueError(
                 f"get of {amount!r} exceeds container capacity {self.capacity!r}")
-        ev = ContainerGet(self.env, self, float(amount))
+        ev = ContainerGet(self.env, float(amount))
         self.get_queue.append(ev)
         self._settle()
         return ev
@@ -174,7 +172,7 @@ class Container:
         if amount > self.capacity:
             raise ValueError(
                 f"put of {amount!r} exceeds container capacity {self.capacity!r}")
-        ev = ContainerPut(self.env, self, float(amount))
+        ev = ContainerPut(self.env, float(amount))
         self.put_queue.append(ev)
         self._settle()
         return ev

@@ -96,14 +96,13 @@ class Philosopher:
 
     Instruments itself with the accumulated ``waiting`` time between wanting
     to eat and having everything needed to eat, the meal/give-up counters,
-    and (optionally) a state transition log and trace records.
+    its current ``state`` and (optionally) trace records.
     """
 
     def __init__(self, env: Environment, chopsticks, my_id: int,
                  variant: str = "classic",
                  bowl: Container | None = None,
-                 trace: list[TraceRecord] | None = None,
-                 record_transitions: bool = False):
+                 trace: list[TraceRecord] | None = None):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
         pair = tuple(chopsticks)
@@ -125,8 +124,6 @@ class Philosopher:
         self.total_give_ups = 0
         self.rice_consumed = 0.0
         self.state = PhilosopherState.THINKING
-        self.transitions: list[tuple[float, PhilosopherState, PhilosopherState]] | None = (
-            [] if record_transitions else None)
         self._trace = trace
         self.handle = spawn(env, self._run(), name=f"philosopher-{my_id}")
 
@@ -134,11 +131,6 @@ class Philosopher:
         trace = self._trace
         if trace is not None:
             trace.append(TraceRecord(self.env.now, f"P{self.id}", message))
-
-    def _enter(self, state: PhilosopherState) -> None:
-        if self.transitions is not None:
-            self.transitions.append((self.env.now, self.state, state))
-        self.state = state
 
     def _run(self):
         env = self.env
@@ -148,12 +140,12 @@ class Philosopher:
         impatient = self.variant == "impatient"
         while True:
             yield env.timeout(rng.expovariate_mean(THINK_MEAN))
-            self._enter(PhilosopherState.HUNGRY)
+            self.state = PhilosopherState.HUNGRY
             start_waiting = env.now
             self._diag("requested chopstick")
             rq1 = first.request()
             yield rq1
-            self._enter(PhilosopherState.HUNGRY_WITH_ONE)
+            self.state = PhilosopherState.HUNGRY_WITH_ONE
             self._diag("obtained chopstick")
             yield env.timeout(SECOND_PICK_DELAY)
             self._diag("requested another chopstick")
@@ -178,7 +170,7 @@ class Philosopher:
                     bowl.cancel_get(request)
             self.waiting += env.now - start_waiting
             if fed:
-                self._enter(PhilosopherState.EATING)
+                self.state = PhilosopherState.EATING
                 self.meals += 1
                 yield env.timeout(rng.expovariate_mean(EAT_MEAN))
                 self.meal_size = PORTION
@@ -187,7 +179,7 @@ class Philosopher:
                 self.give_ups += 1
                 self.total_give_ups += 1
                 self.meal_size += PORTION
-            self._enter(PhilosopherState.THINKING)
+            self.state = PhilosopherState.THINKING
             first.release(rq1)
             second.release(rq2)
             self._diag("released the chopsticks")
@@ -223,8 +215,7 @@ class Party:
 
 
 def build_party(env: Environment, n: int, variant: str,
-                trace: list[TraceRecord] | None = None,
-                record_transitions: bool = False) -> Party:
+                trace: list[TraceRecord] | None = None) -> Party:
     """Wire ``n`` philosophers and chopsticks in a ring for one variant.
 
     Philosopher ``i`` is handed (chopstick ``i``, chopstick ``(i+1) mod n``);
@@ -239,7 +230,7 @@ def build_party(env: Environment, n: int, variant: str,
     chopsticks = [Resource(env, capacity=1) for _ in range(n)]
     philosophers = [
         Philosopher(env, (chopsticks[i], chopsticks[(i + 1) % n]), i,
-                    variant, bowl, trace, record_transitions)
+                    variant, bowl, trace)
         for i in range(n)
     ]
     return Party(philosophers, chopsticks, bowl, chef)
@@ -279,9 +270,8 @@ def counter_scenario(env: Environment, n_customers: int = 10,
     if n_customers < 1:
         raise ValueError("n_customers must be >= 1")
     trace: list[TraceRecord] = []
-    line: deque[Event] = deque()
+    line: deque[tuple[Event, CustomerRecord]] = deque()
     records = [CustomerRecord(i) for i in range(n_customers)]
-    owner: dict[Event, CustomerRecord] = {}
     idle = False
 
     def emit(actor: str, message: str) -> None:
@@ -291,8 +281,7 @@ def counter_scenario(env: Environment, n_customers: int = 10,
         record.arrival = env.now
         emit("Customer", "arrived")
         ticket = env.event()
-        line.append(ticket)
-        owner[ticket] = record
+        line.append((ticket, record))
         if idle:
             counter_handle.interrupt()
         try:
@@ -314,8 +303,8 @@ def counter_scenario(env: Environment, n_customers: int = 10,
         nonlocal idle
         while True:
             if line:
-                ticket = line.popleft()
-                owner[ticket].service_start = env.now
+                ticket, record = line.popleft()
+                record.service_start = env.now
                 yield env.timeout(SERVICE_DELAY)
                 if env.rng.randint(0, FAIL_ONE_IN - 1) == FAIL_ONE_IN - 1:
                     ticket.fail(CustomerFailed())

@@ -92,7 +92,7 @@ def _run_cell(cell: tuple[int, float, str, int]) -> SweepResult:
 
 
 def sweep(variant: str, n_values: Iterable[int], t: float,
-          seeds: Iterable[int], workers: int | None = None) -> list[SweepResult]:
+          seeds: Iterable[int], workers: int = 1) -> list[SweepResult]:
     """Cross product of party sizes and base seeds, one independent run each.
 
     Results are ordered by (n, seed position). Each cell's seed is derived
@@ -108,7 +108,7 @@ def sweep(variant: str, n_values: Iterable[int], t: float,
         for n in ns
         for base in bases
     ]
-    if workers is not None and workers > 1:
+    if workers > 1:
         from multiprocessing import Pool
 
         with Pool(workers) as pool:

@@ -262,7 +262,7 @@ class TestCriterion9PropertyFuzz:
                 fresh.append(event.schedule_key)
 
             env.schedule = mirror
-            party = build_party(env, n, variant, record_transitions=True)
+            party = build_party(env, n, variant)
 
             original_step = env.step
 
@@ -283,9 +283,19 @@ class TestCriterion9PropertyFuzz:
 
             env.step = checked_step
 
+            transitions = {ph: [] for ph in party.philosophers}
+            last_state = {ph: ph.state for ph in party.philosophers}
+
             def watch(ev, party=party, popped=popped, times=times,
-                      violations=violations, env=env):
+                      violations=violations, env=env,
+                      transitions=transitions, last_state=last_state):
                 popped.append(ev.schedule_key)
+                # A diner changes state at most once per resumption, so a
+                # check after every processed event logs every edge.
+                for ph, log in transitions.items():
+                    if ph.state is not last_state[ph]:
+                        log.append((env.now, last_state[ph], ph.state))
+                        last_state[ph] = ph.state
                 times.append(env.now)
                 for c in party.chopsticks:
                     if c.count > c.capacity:
@@ -319,7 +329,7 @@ class TestCriterion9PropertyFuzz:
                 from desim.scenarios import ALLOWED_TRANSITIONS, GIVE_UP_TRANSITION
                 legal = ALLOWED_TRANSITIONS | (
                     {GIVE_UP_TRANSITION} if variant == "impatient" else set())
-                for _, src, dst in ph.transitions:
+                for _, src, dst in transitions[ph]:
                     assert (src, dst) in legal, \
                         f"case {case}: illegal transition {src} -> {dst}"
             checked += 1

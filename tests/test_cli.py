@@ -108,6 +108,14 @@ class TestRunCommand:
         assert records[0]["actor"] == "The operator"
         assert all(set(r) == {"time", "actor", "message"} for r in records)
 
+    def test_jsonl_party_run_without_diag_is_usage_error(self):
+        # jsonl carries trace records only; a party without --diag has none,
+        # so the run would print nothing, deadlock report included.
+        code, out, err = run_cli("run", "--scenario", "classic", "--n", "5",
+                                 "--seed", "16", "--format", "jsonl")
+        assert code == 1 and out == ""
+        assert "usage error" in err and "--diag" in err
+
     def test_deterministic_output(self):
         args = ("run", "--scenario", "impatient", "--n", "6", "--seed", "99",
                 "--until", "2000", "--diag")
@@ -173,6 +181,9 @@ class TestExitCodes:
         ("sweep", "--scenario", "ordered", "--n", "1..3"),
         ("sweep", "--scenario", "ordered", "--until", "0"),
         ("sweep", "--scenario", "ordered", "--workers", "0"),
+        ("run", "--scenario", "ordered", "--until", "inf"),
+        ("run", "--scenario", "counter", "--until", "nan"),
+        ("sweep", "--scenario", "ordered", "--until", "inf"),
     ], ids=" ".join)
     def test_out_of_range_option_is_usage_error(self, argv):
         code, out, err = run_cli(*argv)

@@ -1,6 +1,7 @@
 """Event lifecycle, scheduling order, and run-loop semantics."""
 
 import random
+import time
 
 import pytest
 
@@ -320,6 +321,41 @@ class TestComposites:
         spawn(env, joiner())
         env.run()
         assert out == {"t": 2.0, "n": 2}
+
+    def test_all_of_is_linear_in_its_constituents(self):
+        # 2 s is far above linear time and far below a re-scan of the whole
+        # list on every constituent's success, which is quadratic.
+        env = Environment(0)
+        events = [env.timeout(float(i)) for i in range(20_000)]
+        started = time.perf_counter()
+        cond = all_of(env, events)
+        env.run()
+        assert time.perf_counter() - started < 2.0
+        assert cond.processed and list(cond.value) == events
+
+    def test_all_of_over_settled_events_fails_if_any_failed(self):
+        # A failure fails the composite wherever it stands in the list, also
+        # when every constituent was processed before the composite existed.
+        env = Environment(0)
+        ok, bad = env.event(), env.event()
+        ok.succeed()
+        bad.fail(RuntimeError("listed last"))
+        def observer():
+            try:
+                yield bad
+            except RuntimeError:
+                pass
+        spawn(env, observer())
+        env.run()
+        out = {}
+        def joiner():
+            try:
+                yield all_of(env, [ok, bad])
+            except RuntimeError as exc:
+                out["cause"] = exc
+        spawn(env, joiner())
+        env.run()
+        assert out["cause"] is bad.failure_cause
 
     def test_empty_composite_rejected(self):
         env = Environment(0)

@@ -15,6 +15,26 @@ from desim.scenarios import (
 )
 
 
+def watch_transitions(env, diners):
+    """Log each diner's ``(now, old, new)`` state changes, keyed by diner.
+
+    Hooks ``env.on_processed``. A diner changes state at most once per
+    resumption, and each resumption happens while some event is processed,
+    so comparing states after every processed event misses no edge.
+    """
+    logs = {ph: [] for ph in diners}
+    last = {ph: ph.state for ph in diners}
+
+    def watch(ev):
+        for ph, log in logs.items():
+            if ph.state is not last[ph]:
+                log.append((env.now, last[ph], ph.state))
+                last[ph] = ph.state
+
+    env.on_processed = watch
+    return logs
+
+
 def make_solo_philosopher(env, **kwargs):
     """A diner with two chopsticks of their own: every grant is instant."""
     chopsticks = (Resource(env, 1), Resource(env, 1))
@@ -63,12 +83,13 @@ class TestPhilosopher:
 
     def test_transitions_follow_the_state_graph(self):
         env = Environment(5)
-        party = build_party(env, 4, "ordered", record_transitions=True)
+        party = build_party(env, 4, "ordered")
+        transitions = watch_transitions(env, party.philosophers)
         env.run(until=400.0)
         for ph in party.philosophers:
-            assert ph.transitions, "expected some activity"
+            assert transitions[ph], "expected some activity"
             previous_end = None
-            for _, src, dst in ph.transitions:
+            for _, src, dst in transitions[ph]:
                 assert (src, dst) in ALLOWED_TRANSITIONS
                 if previous_end is not None:
                     assert src is previous_end
@@ -81,10 +102,10 @@ class TestPhilosopher:
             env,
             variant="impatient",
             bowl=bowl,
-            record_transitions=True,
         )
+        transitions = watch_transitions(env, [ph])
         env.run(until=400.0)
-        edges = {(src, dst) for _, src, dst in ph.transitions}
+        edges = {(src, dst) for _, src, dst in transitions[ph]}
         assert GIVE_UP_TRANSITION in edges
         assert (PhilosopherState.HUNGRY_WITH_ONE, PhilosopherState.EATING) not in edges
 
@@ -99,7 +120,7 @@ class TestClassicDeadlock:
         # Seed 16 deadlocks quickly; every chopstick held once, all diners
         # stuck one chopstick short, queue fully drained.
         env = Environment(16)
-        party = build_party(env, 5, "classic", record_transitions=True)
+        party = build_party(env, 5, "classic")
         outcome = env.run(until=100000.0)
         assert outcome.exhausted
         assert [c.count for c in party.chopsticks] == [1, 1, 1, 1, 1]
@@ -272,13 +293,13 @@ class TestImpatient:
             env,
             variant="impatient",
             bowl=bowl,
-            record_transitions=True,
         )
+        transitions = watch_transitions(env, [ph])
         while ph.total_give_ups == 0:
             env.step()
         # Giving up, going back to thinking and releasing both chopsticks
         # all happen within the one resumption that lost the race.
-        assert ph.transitions[-1][1:] == GIVE_UP_TRANSITION
+        assert transitions[ph][-1][1:] == GIVE_UP_TRANSITION
         assert ph.state is PhilosopherState.THINKING
         assert all(c.count == 0 for c in ph.chopsticks)
         env.run(until=200.0)
