@@ -13,7 +13,6 @@ from .kernel import (
     Condition,
     Environment,
     Event,
-    EventFailed,
     KernelError,
     LifecycleError,
     RunOutcome,
@@ -31,7 +30,6 @@ __all__ = [
     "Condition",
     "Environment",
     "Event",
-    "EventFailed",
     "KernelError",
     "LifecycleError",
     "RunOutcome",

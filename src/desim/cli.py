@@ -189,6 +189,8 @@ def _cmd_sweep(args, stdout: IO[str]) -> int:
 
 
 def _cmd_validate(args, stdout: IO[str]) -> int:
+    if args.customers < 1:
+        raise _UsageError("--customers must be >= 1")
     ks = exponential_ks(args.seed, 10.0, 10_000)
     checks = [(
         "exponential draws vs analytic CDF (KS, 1% level)",

@@ -25,7 +25,6 @@ __all__ = [
     "KernelError",
     "LifecycleError",
     "UnhandledFailureError",
-    "EventFailed",
     "Condition",
     "any_of",
     "all_of",
@@ -53,19 +52,11 @@ class UnhandledFailureError(KernelError):
     completion, the name of the failing process.
     """
 
-    def __init__(self, cause: Any, process_name: str | None = None):
+    def __init__(self, cause: BaseException, process_name: str | None = None):
         self.cause = cause
         self.process_name = process_name
         who = f"process {process_name!r}" if process_name else "an event"
         super().__init__(f"unhandled failure in {who}: {cause!r}")
-
-
-class EventFailed(Exception):
-    """Delivered to a waiter when an event fails with a non-exception cause."""
-
-    def __init__(self, cause: Any):
-        self.cause = cause
-        super().__init__(cause)
 
 
 class Event:
@@ -125,7 +116,7 @@ class Event:
         return self._value
 
     @property
-    def failure_cause(self) -> Any:
+    def failure_cause(self) -> BaseException:
         """Failure cause; raises unless the event failed."""
         if not self.failed:
             raise LifecycleError(f"{self!r} has no failure cause")
@@ -145,13 +136,14 @@ class Event:
         self.env.schedule(self)
         self._value = value
 
-    def fail(self, cause: Any) -> None:
+    def fail(self, cause: BaseException) -> None:
         """Set a failure outcome and queue the event at the current time.
 
-        The cause is delivered verbatim to waiters; if it is an exception
-        instance it is raised as-is at their yield points, otherwise it is
-        wrapped in :class:`EventFailed`.
+        The cause must be an exception; waiters have it raised as-is at
+        their yield points.
         """
+        if not isinstance(cause, BaseException):
+            raise TypeError(f"failure cause must be an exception, got {cause!r}")
         self.env.schedule(self)
         self._ok = False
         self._value = cause
@@ -169,11 +161,6 @@ class Event:
 
     def __and__(self, other: "Event") -> "Condition":
         return all_of(self.env, [self, other])
-
-    def _process_name(self) -> str | None:
-        # Overridden by Process so unhandled-failure diagnostics can name
-        # the failing process.
-        return None
 
     def _stage(self) -> str:
         return ("pending" if self._sched_time is None else
@@ -277,7 +264,7 @@ class Environment:
         if error is not None:
             raise error
         if not event._ok and not event._observed:
-            raise UnhandledFailureError(event._value, event._process_name())
+            raise UnhandledFailureError(event._value, getattr(event, "name", None))
         return True
 
     def run(self, until: float | None = None) -> RunOutcome:

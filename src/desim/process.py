@@ -13,13 +13,7 @@ from __future__ import annotations
 
 from typing import Any, Generator
 
-from .kernel import (
-    URGENT,
-    Environment,
-    Event,
-    EventFailed,
-    LifecycleError,
-)
+from .kernel import URGENT, Environment, Event, LifecycleError
 
 __all__ = ["Process", "Interrupted", "spawn"]
 
@@ -103,9 +97,7 @@ class Process(Event):
                     target = body.send(event._value)
                 else:
                     event._observed = True
-                    cause = event._value
-                    target = body.throw(
-                        cause if isinstance(cause, BaseException) else EventFailed(cause))
+                    target = body.throw(event._value)
             except StopIteration as stop:
                 self.succeed(stop.value)
                 return
@@ -128,9 +120,6 @@ class Process(Event):
                 return
             # Already settled: continue in place without suspending.
             event = target
-
-    def _process_name(self) -> str | None:
-        return self.name
 
     def __repr__(self) -> str:
         return f"<Process {self.name!r} #{self.eid} {self._stage()}>"

@@ -125,7 +125,7 @@ class Philosopher:
         self.rice_consumed = 0.0
         self.state = PhilosopherState.THINKING
         self._trace = trace
-        self.handle = spawn(env, self._run(), name=f"philosopher-{my_id}")
+        spawn(env, self._run(), name=f"philosopher-{my_id}")
 
     def _diag(self, message: str) -> None:
         trace = self._trace
@@ -192,7 +192,7 @@ class Chef:
         self.env = env
         self.bowl = bowl
         self.total_restocked = 0.0
-        self.handle = spawn(env, self._replenish(), name="chef")
+        spawn(env, self._replenish(), name="chef")
 
     def _replenish(self):
         env = self.env

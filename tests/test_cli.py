@@ -184,6 +184,8 @@ class TestExitCodes:
         ("run", "--scenario", "ordered", "--until", "inf"),
         ("run", "--scenario", "counter", "--until", "nan"),
         ("sweep", "--scenario", "ordered", "--until", "inf"),
+        ("validate", "--customers", "0"),
+        ("validate", "--customers", "-5"),
     ], ids=" ".join)
     def test_out_of_range_option_is_usage_error(self, argv):
         code, out, err = run_cli(*argv)

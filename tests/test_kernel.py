@@ -9,7 +9,6 @@ from desim import (
     NORMAL,
     URGENT,
     Environment,
-    EventFailed,
     LifecycleError,
     UnhandledFailureError,
     all_of,
@@ -156,19 +155,12 @@ class TestOutcome:
         env.run()
         assert seen == [1.0]
 
-    def test_non_exception_cause_wrapped(self):
+    def test_non_exception_cause_rejected(self):
         env = Environment(0)
-        seen = []
-        def waiter():
-            ev = env.event()
+        ev = env.event()
+        with pytest.raises(TypeError, match="must be an exception"):
             ev.fail(("cause", 17))
-            try:
-                yield ev
-            except EventFailed as exc:
-                seen.append(exc.cause)
-        spawn(env, waiter())
-        env.run()
-        assert seen == [("cause", 17)]
+        assert ev.pending and ev.schedule_key is None
 
     def test_succeed_twice_is_error(self):
         env = Environment(0)
@@ -292,6 +284,14 @@ class TestStepAndRun:
         env.run()
         with pytest.raises(ValueError):
             env.run(until=1.0)
+
+    @pytest.mark.parametrize("until", [float("inf"), float("nan")])
+    def test_run_until_not_finite_rejected(self, until):
+        env = Environment(0)
+        env.timeout(5.0)
+        with pytest.raises(ValueError, match="finite"):
+            env.run(until=until)
+        assert env.now == 0.0
 
 
 class TestComposites:

@@ -66,10 +66,9 @@ class TestRng:
 
     def test_invalid_mean_rejected(self):
         rng = Rng(0)
-        with pytest.raises(ValueError):
-            rng.expovariate_mean(0.0)
-        with pytest.raises(ValueError):
-            rng.expovariate_mean(float("inf"))
+        for mean in (0.0, float("inf"), -1.0, float("nan")):
+            with pytest.raises(ValueError):
+                rng.expovariate_mean(mean)
 
 
 class TestSimulate:
