@@ -7,44 +7,12 @@ party variants and the service counter on top, :mod:`desim.stats` adds the
 seeded replication and sweep harness, and :mod:`desim.cli` the command line.
 """
 
-from .kernel import (
-    NORMAL,
-    URGENT,
-    Condition,
-    Environment,
-    Event,
-    KernelError,
-    LifecycleError,
-    RunOutcome,
-    UnhandledFailureError,
-    all_of,
-    any_of,
-)
-from .process import Interrupted, Process, spawn
-from .resources import Container, ContainerGet, ContainerPut, Request, Resource
-from .rng import Rng
+from . import kernel, process, resources, rng
+from .kernel import *
+from .process import *
+from .resources import *
+from .rng import *
 
-__all__ = [
-    "NORMAL",
-    "URGENT",
-    "Condition",
-    "Environment",
-    "Event",
-    "KernelError",
-    "LifecycleError",
-    "RunOutcome",
-    "UnhandledFailureError",
-    "all_of",
-    "any_of",
-    "Interrupted",
-    "Process",
-    "spawn",
-    "Container",
-    "ContainerGet",
-    "ContainerPut",
-    "Request",
-    "Resource",
-    "Rng",
-]
+__all__ = kernel.__all__ + process.__all__ + resources.__all__ + rng.__all__
 
 __version__ = "0.1.0"

@@ -1,17 +1,18 @@
 """Command line front end: run scenarios, sweep waiting times, validate.
 
-Exit codes: 0 success, 1 usage error, 2 simulation contract error (an
-unhandled process failure or an in-run argument violation). Deadlock of the
-classic party is a normal, expected outcome and exits 0 with a report line.
+Exit codes: 0 success, 1 usage error (a bad flag, or an argument the library
+rejects with ValueError before any event is processed), 2 kernel contract
+error (e.g. an unhandled process failure). Deadlock of the classic party is a
+normal, expected outcome and exits 0 with a report line.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
-from typing import IO, Iterable
+from contextlib import nullcontext
+from typing import IO, ContextManager, Iterable
 
 from .kernel import Environment, KernelError
 from .scenarios import (
@@ -109,12 +110,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write(stream: IO[str], path: str | None, text: str) -> None:
+def _open_output(path: str | None, stdout: IO[str]) -> ContextManager[IO[str]]:
+    """Open ``path`` before anything runs: an unwritable one is a usage error."""
     if path is None:
-        stream.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        return nullcontext(stdout)
+    try:
+        return open(path, "w", encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise _UsageError(f"cannot write --output: {exc}") from None
 
 
 def _cmd_run(args, stdout: IO[str]) -> int:
@@ -125,21 +128,7 @@ def _cmd_run(args, stdout: IO[str]) -> int:
         precision = 1 if args.scenario == "counter" else 6
     if precision < 0:
         raise _UsageError("--precision must be >= 0")
-    if args.until is not None and not 0 <= args.until < math.inf:
-        raise _UsageError("--until must be finite and >= 0")
-
-    env = Environment(args.seed)
-    out: list[str] = []
-    if args.scenario == "counter":
-        n = 10 if args.n is None else args.n
-        if n < 1:
-            raise _UsageError("--n must be >= 1 for the counter scenario")
-        result = counter_scenario(env, n, args.until)
-        out.append(emit_trace(result.trace, args.format, precision))
-    else:
-        n = 5 if args.n is None else args.n
-        if n < 2:
-            raise _UsageError("--n must be >= 2 for a philosopher party")
+    if args.scenario != "counter":
         if args.until is None and args.scenario != "classic":
             # Only a classic party can run out of events (by deadlocking).
             raise _UsageError(f"--until is required for the {args.scenario} "
@@ -148,43 +137,44 @@ def _cmd_run(args, stdout: IO[str]) -> int:
             # jsonl carries trace records only, not the report lines.
             raise _UsageError("--format jsonl prints a party's trace, "
                               "which needs --diag")
-        until = CLASSIC_HORIZON if args.until is None else args.until
-        trace = [] if args.diag else None
-        party = build_party(env, n, args.scenario, trace=trace)
-        outcome = env.run(until)
-        if trace is not None:
-            out.append(emit_trace(trace, args.format, precision))
-        if args.format == "human":
-            counts = [c.count for c in party.chopsticks]
-            mean_waiting = sum(ph.waiting for ph in party.philosophers) / n
-            if outcome.exhausted and detect_deadlock(party.chopsticks):
-                out.append(f"DEADLOCK detected at t={outcome.at:.{precision}f}; "
-                           f"counts={counts}\n")
-            elif outcome.exhausted:
-                out.append(f"exhausted at t={outcome.at:.{precision}f}\n")
-            else:
-                out.append(f"reached horizon at t={outcome.at:.{precision}f}\n")
-            out.append(f"mean waiting time {mean_waiting:.{precision}f}\n")
-    _write(stdout, args.output, "".join(out))
+    with _open_output(args.output, stdout) as sink:
+        sink.write(_run_scenario(args, precision))
     return 0
 
 
+def _run_scenario(args, precision: int) -> str:
+    env = Environment(args.seed)
+    if args.scenario == "counter":
+        n = 10 if args.n is None else args.n
+        result = counter_scenario(env, n, args.until)
+        return emit_trace(result.trace, args.format, precision)
+    n = 5 if args.n is None else args.n
+    until = CLASSIC_HORIZON if args.until is None else args.until
+    trace = [] if args.diag else None
+    party = build_party(env, n, args.scenario, trace=trace)
+    outcome = env.run(until)
+    out: list[str] = []
+    if trace is not None:
+        out.append(emit_trace(trace, args.format, precision))
+    if args.format == "human":
+        counts = [c.count for c in party.chopsticks]
+        mean_waiting = sum(ph.waiting for ph in party.philosophers) / n
+        if outcome.exhausted and detect_deadlock(party.chopsticks):
+            out.append(f"DEADLOCK detected at t={outcome.at:.{precision}f}; "
+                       f"counts={counts}\n")
+        elif outcome.exhausted:
+            out.append(f"exhausted at t={outcome.at:.{precision}f}\n")
+        else:
+            out.append(f"reached horizon at t={outcome.at:.{precision}f}\n")
+        out.append(f"mean waiting time {mean_waiting:.{precision}f}\n")
+    return "".join(out)
+
+
 def _cmd_sweep(args, stdout: IO[str]) -> int:
-    try:
-        ns = _parse_n_range(args.n)
-    except ValueError as exc:
-        raise _UsageError(str(exc)) from None
-    if min(ns) < 2:
-        raise _UsageError("party sizes must be >= 2")
-    if args.seeds < 1:
-        raise _UsageError("--seeds must be >= 1")
-    if not 0 < args.until < math.inf:
-        raise _UsageError("--until must be finite and > 0")
-    if args.workers < 1:
-        raise _UsageError("--workers must be >= 1")
-    results = sweep(args.scenario, ns, args.until, range(args.seeds),
-                    workers=args.workers)
-    _write(stdout, args.output, to_csv(results))
+    ns = _parse_n_range(args.n)
+    with _open_output(args.output, stdout) as sink:
+        sink.write(to_csv(sweep(args.scenario, ns, args.until, range(args.seeds),
+                                workers=args.workers)))
     return 0
 
 
@@ -228,10 +218,12 @@ def main(argv: list[str] | None = None, stdout: IO[str] | None = None,
         if args.command == "sweep":
             return _cmd_sweep(args, stdout)
         return _cmd_validate(args, stdout)
-    except _UsageError as exc:
+    except (_UsageError, ValueError) as exc:
+        # The library rejects bad arguments with ValueError before any event;
+        # one raised in a process body surfaces as UnhandledFailureError.
         stderr.write(f"usage error: {exc}\n")
         return 1
-    except (KernelError, ValueError) as exc:
+    except KernelError as exc:
         stderr.write(f"simulation error: {exc}\n")
         return 2
 

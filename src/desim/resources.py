@@ -151,15 +151,7 @@ class Container:
         An amount above the container capacity can never be satisfied and is
         rejected immediately rather than blocking forever.
         """
-        if not amount > 0:
-            raise ValueError(f"get amount must be > 0, got {amount!r}")
-        if amount > self.capacity:
-            raise ValueError(
-                f"get of {amount!r} exceeds container capacity {self.capacity!r}")
-        ev = ContainerGet(self.env, float(amount))
-        self.get_queue.append(ev)
-        self._settle()
-        return ev
+        return self._enqueue(ContainerGet, self.get_queue, "get", amount)
 
     def put(self, amount: float) -> ContainerPut:
         """Deposit ``amount``; the returned event succeeds when it fits.
@@ -167,13 +159,17 @@ class Container:
         An amount above the container capacity can never fit and is rejected
         immediately rather than blocking every later put forever.
         """
+        return self._enqueue(ContainerPut, self.put_queue, "put", amount)
+
+    def _enqueue(self, kind, queue: deque, verb: str, amount: float):
+        """Check ``amount``, queue a new ``kind`` event for it and settle."""
         if not amount > 0:
-            raise ValueError(f"put amount must be > 0, got {amount!r}")
+            raise ValueError(f"{verb} amount must be > 0, got {amount!r}")
         if amount > self.capacity:
             raise ValueError(
-                f"put of {amount!r} exceeds container capacity {self.capacity!r}")
-        ev = ContainerPut(self.env, float(amount))
-        self.put_queue.append(ev)
+                f"{verb} of {amount!r} exceeds container capacity {self.capacity!r}")
+        ev = kind(self.env, float(amount))
+        queue.append(ev)
         self._settle()
         return ev
 

@@ -19,10 +19,9 @@ class Rng:
     guarantees strictly positive values.
     """
 
-    __slots__ = ("seed", "_mt")
+    __slots__ = ("_mt",)
 
     def __init__(self, seed: int):
-        self.seed = seed
         self._mt = random.Random(seed)
 
     def random(self) -> float:

@@ -98,16 +98,20 @@ def sweep(variant: str, n_values: Iterable[int], t: float,
     Results are ordered by (n, seed position). Each cell's seed is derived
     from its own coordinates, so a cell rerun alone matches its sweep row and
     cells may run in parallel (``workers`` > 1) without affecting results.
+    No more workers are started than there are cells.
     """
     ns = list(n_values)
     bases = list(seeds)
     if not ns or not bases:
         raise ValueError("sweep needs at least one party size and one seed")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers!r}")
     cells = [
         (n, t, variant, derive_seed(base, variant, n))
         for n in ns
         for base in bases
     ]
+    workers = min(workers, len(cells))
     if workers > 1:
         from multiprocessing import Pool
 

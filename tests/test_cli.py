@@ -192,6 +192,28 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "usage error" in err
 
+    def test_library_rejection_is_usage_error_in_its_own_words(self):
+        code, out, err = run_cli("run", "--scenario", "classic", "--n", "1")
+        assert code == 1 and out == ""
+        assert err == "usage error: a party needs at least 2 philosophers, got 1\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("run", "--scenario", "counter", "--n", "2"),
+        ("sweep", "--scenario", "ordered", "--n", "2", "--seeds", "1"),
+    ], ids=" ".join)
+    def test_unwritable_output_is_usage_error_before_any_run(
+            self, argv, tmp_path, monkeypatch):
+        import desim.cli as cli
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("simulated before opening --output")
+        monkeypatch.setattr(cli, "counter_scenario", must_not_run)
+        monkeypatch.setattr(cli, "sweep", must_not_run)
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli(*argv, "--output", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and err.count("\n") == 1
+        assert not target.parent.exists()
+
     def test_missing_command_is_usage_error(self):
         code, _, err = run_cli()
         assert code == 1

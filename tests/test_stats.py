@@ -132,6 +132,36 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep("ordered", [2], 100.0, [])
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_rejected(self, workers):
+        with pytest.raises(ValueError, match="workers"):
+            sweep("ordered", [2], 100.0, [0], workers=workers)
+
+    def test_pool_never_exceeds_the_cell_count(self, monkeypatch):
+        import multiprocessing
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, cells, chunksize=1):
+                return [fn(cell) for cell in cells]
+
+        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        one = sweep("ordered", [2], 100.0, [0], workers=64)
+        two = sweep("ordered", [2, 3], 100.0, [0], workers=64)
+        assert sizes == [2]
+        assert one == sweep("ordered", [2], 100.0, [0])
+        assert two == sweep("ordered", [2, 3], 100.0, [0])
+
 
 class TestCsv:
     def test_round_trip_is_lossless(self):
