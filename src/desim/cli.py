@@ -15,13 +15,7 @@ from contextlib import nullcontext
 from typing import IO, ContextManager, Iterable
 
 from .kernel import Environment, KernelError
-from .scenarios import (
-    VARIANTS,
-    TraceRecord,
-    build_party,
-    counter_scenario,
-    detect_deadlock,
-)
+from .scenarios import VARIANTS, TraceRecord, build_party, counter_scenario
 from .stats import (MM1Params, exponential_ks, mm1_expected_wait, mm1_simulate,
                     sweep, to_csv)
 
@@ -159,11 +153,9 @@ def _run_scenario(args, precision: int) -> str:
     if args.format == "human":
         counts = [c.count for c in party.chopsticks]
         mean_waiting = sum(ph.waiting for ph in party.philosophers) / n
-        if outcome.exhausted and detect_deadlock(party.chopsticks):
+        if outcome.exhausted:
             out.append(f"DEADLOCK detected at t={outcome.at:.{precision}f}; "
                        f"counts={counts}\n")
-        elif outcome.exhausted:
-            out.append(f"exhausted at t={outcome.at:.{precision}f}\n")
         else:
             out.append(f"reached horizon at t={outcome.at:.{precision}f}\n")
         out.append(f"mean waiting time {mean_waiting:.{precision}f}\n")

@@ -10,14 +10,10 @@ pending events) until the head of their FIFO queue fits the current level.
 from __future__ import annotations
 
 from collections import deque
-from itertools import count
 
 from .kernel import Environment, Event, LifecycleError
 
 __all__ = ["Resource", "Request", "Container", "ContainerGet", "ContainerPut"]
-
-# Source of Resource.serial: only the creation order of resources matters.
-_serials = count()
 
 
 class Request(Event):
@@ -45,9 +41,6 @@ class Resource:
         self.capacity = capacity
         self.users: list[Request] = []
         self.wait_queue: deque[Request] = deque()
-        # Creation-order serial; used as a deterministic global ordering key
-        # (e.g. ordered chopstick pickup).
-        self.serial = next(_serials)
 
     @property
     def count(self) -> int:

@@ -1,8 +1,8 @@
 """Reference models built on the kernel: dining philosophers and a service counter.
 
-Four party variants are provided. ``classic`` philosophers pick up their
-assigned chopstick pair as given, which lets the party deadlock. ``ordered``
-philosophers sort their pair by a global creation order, which provably
+Four party variants are provided, each wired by ``build_party``. ``classic``
+diners pick up their pair in seating order, which lets the party deadlock.
+``ordered`` diners take the lower-numbered chopstick first, which provably
 cannot deadlock. ``bowl`` adds a shared rice container drained by meals and
 restocked periodically by a chef. ``impatient`` philosophers additionally cap
 how long they wait for rice, give the chopsticks back when they give up, and
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 VARIANTS = ("classic", "ordered", "bowl", "impatient")
+RICE_VARIANTS = ("bowl", "impatient")
 
 # Model timings in simulated time units. A diner thinks and eats for
 # exponential spells of mean THINK_MEAN and EAT_MEAN and pauses
@@ -93,6 +94,8 @@ class Philosopher:
 
     The whole cycle, hungry spell included, runs in the diner's one process;
     a diner who gives up on the rice puts both chopsticks back and thinks.
+    The pair is picked up in the order given (``build_party`` decides it),
+    and a diner has a bowl exactly when its variant eats rice.
 
     Instruments itself with the accumulated ``waiting`` time between wanting
     to eat and having everything needed to eat, the meal/give-up counters,
@@ -106,12 +109,12 @@ class Philosopher:
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
         pair = tuple(chopsticks)
-        if len(pair) != 2:
-            raise ValueError("a philosopher needs exactly two chopsticks")
-        if variant == "impatient" and bowl is None:
-            raise ValueError("impatient philosophers need a bowl to give up on")
-        if variant != "classic":
-            pair = tuple(sorted(pair, key=lambda c: c.serial))
+        if len(pair) != 2 or pair[0] is pair[1]:
+            raise ValueError("a philosopher needs two different chopsticks")
+        eats_rice = variant in RICE_VARIANTS
+        if (bowl is None) == eats_rice:
+            raise ValueError(f"{variant} philosophers "
+                             f"{'need a' if eats_rice else 'take no'} bowl")
         self.env = env
         self.id = my_id
         self.variant = variant
@@ -213,31 +216,33 @@ class Party:
     chef: Chef | None = None
 
 
-
 def build_party(env: Environment, n: int, variant: str,
                 trace: list[TraceRecord] | None = None) -> Party:
     """Wire ``n`` philosophers and chopsticks in a ring for one variant.
 
-    Philosopher ``i`` is handed (chopstick ``i``, chopstick ``(i+1) mod n``);
-    the bowl variants add a full rice container and a chef.
+    Philosopher ``i`` is handed chopsticks ``i`` and ``(i+1) mod n``: in that
+    order if classic, else lower index first, so no cycle of waits can form
+    (Dijkstra's resource hierarchy). Rice variants add a full bowl and a chef.
     """
     if not isinstance(n, int) or n < 2:
         raise ValueError(f"a party needs at least 2 philosophers, got {n!r}")
     bowl = chef = None
-    if variant in ("bowl", "impatient"):
+    if variant in RICE_VARIANTS:
         bowl = Container(env, init=BOWL_CAPACITY, capacity=BOWL_CAPACITY)
         chef = Chef(env, bowl)
     chopsticks = [Resource(env, capacity=1) for _ in range(n)]
+    seats = [(i, (i + 1) % n) for i in range(n)]
+    if variant != "classic":
+        seats = [sorted(seat) for seat in seats]
     philosophers = [
-        Philosopher(env, (chopsticks[i], chopsticks[(i + 1) % n]), i,
-                    variant, bowl, trace)
-        for i in range(n)
+        Philosopher(env, (chopsticks[a], chopsticks[b]), i, variant, bowl, trace)
+        for i, (a, b) in enumerate(seats)
     ]
     return Party(philosophers, chopsticks, bowl, chef)
 
 
 def detect_deadlock(chopsticks) -> bool:
-    """Deadlock heuristic for an exhausted run: two or more chopsticks held."""
+    """The tests' cross-check of a party's verdict: two or more chopsticks held."""
     return sum(1 for c in chopsticks if c.count > 0) >= 2
 
 

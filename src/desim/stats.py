@@ -19,7 +19,7 @@ from .kernel import Environment
 from .process import spawn
 from .resources import Resource
 from .rng import Rng
-from .scenarios import build_party, detect_deadlock
+from .scenarios import build_party
 
 __all__ = [
     "SweepResult",
@@ -42,7 +42,7 @@ class SweepResult:
     """Waiting-time aggregate of one seeded party run.
 
     ``exhausted_at`` is the stop time when the run ran out of events before
-    the horizon (the deadlock signature for the classic variant), else None.
+    the horizon, else None; a party runs out exactly when it deadlocks.
     """
 
     variant: str
@@ -55,22 +55,25 @@ class SweepResult:
     exhausted_at: float | None = None
 
 
+def _check_horizon(t: float) -> None:
+    if not (math.isfinite(t) and t > 0):
+        raise ValueError(f"horizon must be finite and > 0, got {t!r}")
+
+
 def simulate(n: int, t: float, variant: str = "ordered", seed: int = 0) -> SweepResult:
     """Run one fresh party for up to ``t`` time units and aggregate waiting."""
-    if not t > 0:
-        raise ValueError(f"horizon must be > 0, got {t!r}")
+    _check_horizon(t)
     env = Environment(seed)
     party = build_party(env, n, variant)
     outcome = env.run(until=t)
     per = tuple(ph.waiting for ph in party.philosophers)
-    deadlocked = outcome.exhausted and detect_deadlock(party.chopsticks)
     return SweepResult(
         variant=variant,
         n=n,
         t=float(t),
         seed=seed,
         mean_waiting=sum(per) / n,
-        deadlocked=deadlocked,
+        deadlocked=outcome.exhausted,
         per_philosopher=per,
         exhausted_at=outcome.at if outcome.exhausted else None,
     )
@@ -106,6 +109,7 @@ def sweep(variant: str, n_values: Iterable[int], t: float,
         raise ValueError("sweep needs at least one party size and one seed")
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers!r}")
+    _check_horizon(t)
     cells = [
         (n, t, variant, derive_seed(base, variant, n))
         for n in ns

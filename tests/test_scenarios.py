@@ -6,6 +6,7 @@ from desim import Condition, Container, Environment, Process, Resource
 from desim.scenarios import (
     ALLOWED_TRANSITIONS,
     GIVE_UP_TRANSITION,
+    VARIANTS,
     Chef,
     Philosopher,
     PhilosopherState,
@@ -114,6 +115,21 @@ class TestPhilosopher:
         with pytest.raises(ValueError, match="unknown variant"):
             make_solo_philosopher(env, variant="banquet")
 
+    @pytest.mark.parametrize("variant, with_bowl", [
+        ("bowl", False), ("ordered", True), ("classic", True),
+    ])
+    def test_bowl_must_match_variant(self, variant, with_bowl):
+        env = Environment(0)
+        bowl = Container(env, init=100.0, capacity=100.0) if with_bowl else None
+        with pytest.raises(ValueError, match="bowl"):
+            make_solo_philosopher(env, variant=variant, bowl=bowl)
+
+    def test_same_chopstick_twice_rejected(self):
+        env = Environment(0)
+        chopstick = Resource(env, 1)
+        with pytest.raises(ValueError, match="two different chopsticks"):
+            Philosopher(env, (chopstick, chopstick), 0, "ordered")
+
 
 class TestClassicDeadlock:
     def test_deadlock_shape(self):
@@ -175,6 +191,15 @@ class TestBuildParty:
         first, second = party.philosophers
         assert first.chopsticks == (party.chopsticks[0], party.chopsticks[1])
         assert second.chopsticks == (party.chopsticks[1], party.chopsticks[0])
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_pickup_order_as_chopstick_indexes(self, variant, n):
+        party = build_party(Environment(0), n, variant)
+        for i, ph in enumerate(party.philosophers):
+            seat = (i, (i + 1) % n)
+            expected = seat if variant == "classic" else tuple(sorted(seat))
+            assert tuple(party.chopsticks.index(c) for c in ph.chopsticks) == expected
 
     def test_ordered_variant_sorts_by_creation_order(self):
         env = Environment(0)

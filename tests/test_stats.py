@@ -137,6 +137,18 @@ class TestSweep:
         with pytest.raises(ValueError, match="workers"):
             sweep("ordered", [2], 100.0, [0], workers=workers)
 
+    @pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -1.0])
+    def test_bad_horizon_rejected_before_any_pool(self, t, monkeypatch):
+        import multiprocessing
+
+        class NoPool:
+            def __init__(self, processes):
+                raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", NoPool)
+        with pytest.raises(ValueError, match="horizon must be finite and > 0"):
+            sweep("ordered", [2, 3], t, [0], workers=2)
+
     def test_pool_never_exceeds_the_cell_count(self, monkeypatch):
         import multiprocessing
 
