@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
+import stat
 import sys
-from contextlib import nullcontext
-from typing import IO, ContextManager, Iterable
+from typing import IO, Callable, Iterable
 
 from .kernel import Environment, KernelError
 from .scenarios import VARIANTS, TraceRecord, build_party, counter_scenario
@@ -104,14 +105,25 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _open_output(path: str | None, stdout: IO[str]) -> ContextManager[IO[str]]:
-    """Open ``path`` before anything runs: an unwritable one is a usage error."""
+def _write(path: str | None, stdout: IO[str], render: Callable[[], str]) -> int:
+    """Write ``render()`` to stdout, or to ``path`` opened (not emptied) first.
+
+    An existing file is emptied only once the text is rendered, and only if
+    it is a regular file: a device or a pipe cannot be truncated.
+    """
     if path is None:
-        return nullcontext(stdout)
+        stdout.write(render())
+        return 0
     try:
-        return open(path, "w", encoding="utf-8", newline="\n")
+        sink = open(path, "a", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise _UsageError(f"cannot write --output: {exc}") from None
+    with sink:
+        text = render()
+        if stat.S_ISREG(os.fstat(sink.fileno()).st_mode):
+            sink.truncate(0)
+        sink.write(text)
+    return 0
 
 
 def _cmd_run(args, stdout: IO[str]) -> int:
@@ -131,9 +143,7 @@ def _cmd_run(args, stdout: IO[str]) -> int:
             # jsonl carries trace records only, not the report lines.
             raise _UsageError("--format jsonl prints a party's trace, "
                               "which needs --diag")
-    with _open_output(args.output, stdout) as sink:
-        sink.write(_run_scenario(args, precision))
-    return 0
+    return _write(args.output, stdout, lambda: _run_scenario(args, precision))
 
 
 def _run_scenario(args, precision: int) -> str:
@@ -164,10 +174,8 @@ def _run_scenario(args, precision: int) -> str:
 
 def _cmd_sweep(args, stdout: IO[str]) -> int:
     ns = _parse_n_range(args.n)
-    with _open_output(args.output, stdout) as sink:
-        sink.write(to_csv(sweep(args.scenario, ns, args.until, range(args.seeds),
-                                workers=args.workers)))
-    return 0
+    return _write(args.output, stdout, lambda: to_csv(
+        sweep(args.scenario, ns, args.until, range(args.seeds), workers=args.workers)))
 
 
 def _cmd_validate(args, stdout: IO[str]) -> int:

@@ -9,6 +9,7 @@ outcome that processing delivers to callbacks.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -76,14 +77,12 @@ class Event:
 
     def __init__(self, env: "Environment"):
         self.env = env
-        self.eid = eid = env._eid_counter
-        env._eid_counter = eid + 1
+        self.eid = next(env._eids)
         self.callbacks: list[Callable[["Event"], None]] | None = []
         self._ok = True
         self._value: Any = None
         self._observed = False
         self._sched_time: float | None = None
-        self._sched_priority = NORMAL
 
     # -- observation --------------------------------------------------
 
@@ -194,7 +193,7 @@ class Environment:
     def __init__(self, seed: int = 0):
         self._now = 0.0
         self._queue: list[tuple[float, int, int, Event]] = []
-        self._eid_counter = 0
+        self._eids = itertools.count()
         self.rng = Rng(seed)
         # Optional instrumentation: called with each event right after its
         # callbacks have run. Used by invariant-checking tests; None-cost

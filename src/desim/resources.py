@@ -21,10 +21,6 @@ class Request(Event):
 
     __slots__ = ("resource",)
 
-    def __init__(self, env: Environment, resource: "Resource"):
-        super().__init__(env)
-        self.resource = resource
-
     @property
     def granted(self) -> bool:
         """A request is granted exactly when it is queued for processing."""
@@ -58,7 +54,8 @@ class Resource:
         If a unit is free the grant happens at the current time, otherwise
         the request joins the FIFO queue.
         """
-        rq = Request(self.env, self)
+        rq = Request(self.env)
+        rq.resource = self
         if len(self.users) < self.capacity:
             self._grant(rq)
         else:
@@ -105,19 +102,11 @@ class ContainerGet(Event):
 
     __slots__ = ("amount",)
 
-    def __init__(self, env: Environment, amount: float):
-        super().__init__(env)
-        self.amount = amount
-
 
 class ContainerPut(Event):
     """Pending deposit of a fixed amount; succeeds once it fits the capacity."""
 
     __slots__ = ("amount",)
-
-    def __init__(self, env: Environment, amount: float):
-        super().__init__(env)
-        self.amount = amount
 
 
 class Container:
@@ -161,7 +150,8 @@ class Container:
         if amount > self.capacity:
             raise ValueError(
                 f"{verb} of {amount!r} exceeds container capacity {self.capacity!r}")
-        ev = kind(self.env, float(amount))
+        ev = kind(self.env)
+        ev.amount = float(amount)
         queue.append(ev)
         self._settle()
         return ev

@@ -50,9 +50,12 @@ class SweepResult:
     t: float
     seed: int
     mean_waiting: float
-    deadlocked: bool
     per_philosopher: tuple[float, ...]
     exhausted_at: float | None = None
+
+    @property
+    def deadlocked(self) -> bool:
+        return self.exhausted_at is not None
 
 
 def _check_horizon(t: float) -> None:
@@ -73,7 +76,6 @@ def simulate(n: int, t: float, variant: str = "ordered", seed: int = 0) -> Sweep
         t=float(t),
         seed=seed,
         mean_waiting=sum(per) / n,
-        deadlocked=outcome.exhausted,
         per_philosopher=per,
         exhausted_at=outcome.at if outcome.exhausted else None,
     )

@@ -131,6 +131,50 @@ class TestRunCommand:
         assert b"\r" not in data
 
 
+class TestOutputFile:
+    """An existing --output file is replaced only by a run that succeeds."""
+
+    def test_rejected_argument_leaves_file_as_it_was(self, tmp_path):
+        target = tmp_path / "f.csv"
+        target.write_text("keep\n")
+        code, out, err = run_cli("sweep", "--scenario", "ordered", "--until", "inf",
+                                 "--output", str(target))
+        assert code == 1 and out == "" and err.startswith("usage error: ")
+        assert target.read_text() == "keep\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["f.csv"]
+
+    def test_simulation_error_leaves_file_as_it_was(self, tmp_path, monkeypatch):
+        import desim.cli as cli
+        def explode(env, config, until):
+            raise UnhandledFailureError(RuntimeError("boom"), "counter")
+        monkeypatch.setattr(cli, "counter_scenario", explode)
+        target = tmp_path / "trace.txt"
+        target.write_text("keep\n")
+        code, _, _ = run_cli("run", "--scenario", "counter", "--output", str(target))
+        assert code == 2
+        assert target.read_text() == "keep\n"
+
+    def test_longer_existing_file_is_fully_replaced(self, tmp_path):
+        args = ("run", "--scenario", "counter", "--n", "2", "--seed", "3")
+        _, expected, _ = run_cli(*args)
+        target = tmp_path / "trace.txt"
+        target.write_text("x" * (10 * len(expected)))
+        code, out, _ = run_cli(*args, "--output", str(target))
+        assert code == 0 and out == ""
+        assert target.read_text() == expected
+
+    def test_directory_is_usage_error(self, tmp_path):
+        code, out, err = run_cli("run", "--scenario", "counter", "--output",
+                                 str(tmp_path))
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: cannot write --output")
+
+    def test_device_is_written_without_truncating(self):
+        code, out, err = run_cli("run", "--scenario", "counter", "--output",
+                                 os.devnull)
+        assert (code, out, err) == (0, "", "")
+
+
 class TestSweepCommand:
     def test_csv_output_parses(self):
         code, out, _ = run_cli("sweep", "--scenario", "ordered", "--n", "2..4",

@@ -8,8 +8,10 @@ import pytest
 from desim import (
     NORMAL,
     URGENT,
+    Container,
     Environment,
     LifecycleError,
+    Resource,
     UnhandledFailureError,
     all_of,
     any_of,
@@ -98,6 +100,16 @@ class TestSchedule:
         env.schedule(a, delay=0.0)
         env.run()
         assert order == ["a", "b"]
+
+    def test_every_event_kind_numbered_from_zero_per_environment(self):
+        def eids(env):
+            box = Container(env, init=5.0, capacity=10.0)
+            events = (env.timeout(1.0), Resource(env).request(), box.get(3.0),
+                      box.put(2.0))
+            return [ev.eid for ev in events]
+
+        assert eids(Environment(0)) == [0, 1, 2, 3]
+        assert eids(Environment(0)) == [0, 1, 2, 3]
 
     def test_schedule_twice_is_lifecycle_error(self):
         env = Environment(0)

@@ -20,6 +20,10 @@ class TestResource:
         res = Resource(env, capacity=1)
         assert (res.count, res.queued) == (0, 0)
 
+    def test_request_knows_its_resource(self):
+        res = Resource(Environment(0))
+        assert res.request().resource is res
+
     def test_grants_up_to_capacity_then_queues(self):
         env = Environment(0)
         res = Resource(env, capacity=2)
@@ -147,6 +151,11 @@ class TestContainer:
             Container(env, init=-1.0, capacity=1000.0)
         with pytest.raises(ValueError):
             Container(env, init=0.0, capacity=0.0)
+
+    def test_event_amount_is_a_float(self):
+        box = Container(Environment(0), init=5.0, capacity=10.0)
+        got = box.get(3)
+        assert type(got.amount) is float and got.amount == 3.0
 
     def test_full_bowl_and_immediate_get(self):
         env = Environment(0)

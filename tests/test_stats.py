@@ -191,7 +191,7 @@ class TestCsv:
             assert row.deadlocked == original.deadlocked
 
     def test_deadlocked_flag_round_trips(self):
-        row = SweepResult("classic", 5, 1000.0, 3, 12.5, True, (12.5,) * 5, 900.0)
+        row = SweepResult("classic", 5, 1000.0, 3, 12.5, (12.5,) * 5, 900.0)
         parsed = parse_csv(to_csv([row]))
         assert parsed[0].deadlocked is True
 
