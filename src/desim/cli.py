@@ -44,17 +44,13 @@ def emit_trace(records: Iterable[TraceRecord], fmt: str = "human",
                precision: int = 6) -> str:
     """Render trace records, one per line; empty input yields empty output."""
     if fmt == "human":
-        lines = [f"{r.actor} {r.message} @{r.time:.{precision}f}" for r in records]
-    elif fmt == "jsonl":
-        lines = [
-            json.dumps({"time": r.time, "actor": r.actor, "message": r.message})
-            for r in records
-        ]
-    else:
-        raise ValueError(f"unknown trace format {fmt!r}")
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
+        return "".join(f"{r.actor} {r.message} @{r.time:.{precision}f}\n"
+                       for r in records)
+    if fmt == "jsonl":
+        return "".join(json.dumps({"time": r.time, "actor": r.actor,
+                                   "message": r.message}) + "\n"
+                       for r in records)
+    raise ValueError(f"unknown trace format {fmt!r}")
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -162,13 +158,12 @@ def _run_scenario(args, precision: int) -> str:
         out.append(emit_trace(trace, args.format, precision))
     if args.format == "human":
         counts = [c.count for c in party.chopsticks]
-        mean_waiting = sum(ph.waiting for ph in party.philosophers) / n
         if outcome.exhausted:
             out.append(f"DEADLOCK detected at t={outcome.at:.{precision}f}; "
                        f"counts={counts}\n")
         else:
             out.append(f"reached horizon at t={outcome.at:.{precision}f}\n")
-        out.append(f"mean waiting time {mean_waiting:.{precision}f}\n")
+        out.append(f"mean waiting time {party.mean_waiting:.{precision}f}\n")
     return "".join(out)
 
 

@@ -128,12 +128,13 @@ class Philosopher:
         self.rice_consumed = 0.0
         self.state = PhilosopherState.THINKING
         self._trace = trace
+        self._label = f"P{my_id}"
         spawn(env, self._run(), name=f"philosopher-{my_id}")
 
     def _diag(self, message: str) -> None:
         trace = self._trace
         if trace is not None:
-            trace.append(TraceRecord(self.env.now, f"P{self.id}", message))
+            trace.append(TraceRecord(self.env.now, self._label, message))
 
     def _run(self):
         env = self.env
@@ -214,6 +215,17 @@ class Party:
     chopsticks: list[Resource]
     bowl: Container | None = None
     chef: Chef | None = None
+
+    @property
+    def mean_waiting(self) -> float:
+        """Mean of the diners' waiting times, as a running total in seat order.
+
+        Not ``sum()``, which rounds differently from Python 3.12 on.
+        """
+        total = 0.0
+        for ph in self.philosophers:
+            total += ph.waiting
+        return total / len(self.philosophers)
 
 
 def build_party(env: Environment, n: int, variant: str,

@@ -69,14 +69,13 @@ def simulate(n: int, t: float, variant: str = "ordered", seed: int = 0) -> Sweep
     env = Environment(seed)
     party = build_party(env, n, variant)
     outcome = env.run(until=t)
-    per = tuple(ph.waiting for ph in party.philosophers)
     return SweepResult(
         variant=variant,
         n=n,
         t=float(t),
         seed=seed,
-        mean_waiting=sum(per) / n,
-        per_philosopher=per,
+        mean_waiting=party.mean_waiting,
+        per_philosopher=tuple(ph.waiting for ph in party.philosophers),
         exhausted_at=outcome.at if outcome.exhausted else None,
     )
 
@@ -197,13 +196,14 @@ def mm1_simulate(params: MM1Params, n_customers: int, seed: int = 0) -> float:
     server = Resource(env, capacity=1)
     mean_service = 1.0 / params.service_rate
     mean_gap = 1.0 / params.arrival_rate
-    waits: list[float] = []
+    total_wait = 0.0  # a running total in grant order, as in Party.mean_waiting
 
     def customer():
+        nonlocal total_wait
         arrived = env.now
         grant = server.request()
         yield grant
-        waits.append(env.now - arrived)
+        total_wait += env.now - arrived
         yield env.timeout(env.rng.expovariate_mean(mean_service))
         server.release(grant)
 
@@ -214,7 +214,7 @@ def mm1_simulate(params: MM1Params, n_customers: int, seed: int = 0) -> float:
 
     spawn(env, arrivals(), name="mm1-arrivals")
     env.run()
-    return sum(waits) / len(waits)
+    return total_wait / n_customers
 
 
 def exponential_ks(seed: int, mean: float, n: int) -> float:

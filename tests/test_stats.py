@@ -83,6 +83,12 @@ class TestSimulate:
         assert r.mean_waiting == sum(r.per_philosopher) / 5
         assert len(r.per_philosopher) == 5
 
+    def test_mean_is_a_running_total_in_seat_order(self):
+        # Pinned on Python 3.11; the compensated sum() of Python 3.12 and
+        # later gives 2078.6852802276294, which changed the sweep rows.
+        r = simulate(4, 5000.0, "bowl", 9315470670392932011)
+        assert r.mean_waiting == 2078.68528022763
+
     def test_party_size_validated(self):
         with pytest.raises(ValueError):
             simulate(1, 1000.0, "ordered", seed=0)
@@ -223,6 +229,10 @@ class TestMM1:
         a = mm1_simulate(MM1Params(0.05, 0.1), 2000, seed=4)
         b = mm1_simulate(MM1Params(0.05, 0.1), 2000, seed=4)
         assert a == b
+
+    def test_mean_is_a_running_total_in_grant_order(self):
+        # Pinned on Python 3.11; a compensated sum gives 12.88727290227045.
+        assert mm1_simulate(MM1Params(0.05, 0.1), 200, seed=0) == 12.887272902270452
 
     def test_short_run_lands_in_a_loose_band(self):
         observed = mm1_simulate(MM1Params(0.05, 0.1), 20_000, seed=0)
