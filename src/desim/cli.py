@@ -9,7 +9,6 @@ normal, expected outcome and exits 0 with a report line.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import stat
 import sys
@@ -47,6 +46,7 @@ def emit_trace(records: Iterable[TraceRecord], fmt: str = "human",
         return "".join(f"{r.actor} {r.message} @{r.time:.{precision}f}\n"
                        for r in records)
     if fmt == "jsonl":
+        import json  # here, not at the top: only jsonl output needs it
         return "".join(json.dumps({"time": r.time, "actor": r.actor,
                                    "message": r.message}) + "\n"
                        for r in records)

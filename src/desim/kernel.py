@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterable, Optional
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .rng import Rng
 
@@ -169,8 +168,7 @@ class Event:
         return f"<{type(self).__name__} #{self.eid} {self._stage()}>"
 
 
-@dataclass(frozen=True)
-class RunOutcome:
+class RunOutcome(NamedTuple):
     """How a run ended: queue exhausted, or the time horizon was reached."""
 
     exhausted: bool

@@ -16,9 +16,9 @@ interrupting it when it has dozed off on an empty line.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Optional
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .kernel import Environment, Event, RunOutcome, any_of
 from .process import Interrupted, Process, spawn
@@ -89,6 +89,15 @@ class CustomerFailed(Exception):
     """Service of a customer's ticket failed."""
 
 
+def check_party(variant: str, *sizes: int) -> None:
+    """Reject an unknown variant, and each party size ``build_party`` cannot seat."""
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+    for n in sizes:
+        if not isinstance(n, int) or n < 2:
+            raise ValueError(f"a party needs at least 2 philosophers, got {n!r}")
+
+
 class Philosopher:
     """One diner: think, grab two chopsticks (and maybe rice), eat, repeat.
 
@@ -106,8 +115,7 @@ class Philosopher:
                  variant: str = "classic",
                  bowl: Container | None = None,
                  trace: list[TraceRecord] | None = None):
-        if variant not in VARIANTS:
-            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        check_party(variant)
         pair = tuple(chopsticks)
         if len(pair) != 2 or pair[0] is pair[1]:
             raise ValueError("a philosopher needs two different chopsticks")
@@ -209,8 +217,7 @@ class Chef:
                 self.total_restocked += amount
 
 
-@dataclass
-class Party:
+class Party(NamedTuple):
     philosophers: list[Philosopher]
     chopsticks: list[Resource]
     bowl: Container | None = None
@@ -236,8 +243,7 @@ def build_party(env: Environment, n: int, variant: str,
     order if classic, else lower index first, so no cycle of waits can form
     (Dijkstra's resource hierarchy). Rice variants add a full bowl and a chef.
     """
-    if not isinstance(n, int) or n < 2:
-        raise ValueError(f"a party needs at least 2 philosophers, got {n!r}")
+    check_party(variant, n)
     bowl = chef = None
     if variant in RICE_VARIANTS:
         bowl = Container(env, init=BOWL_CAPACITY, capacity=BOWL_CAPACITY)
@@ -258,17 +264,20 @@ def detect_deadlock(chopsticks) -> bool:
     return sum(1 for c in chopsticks if c.count > 0) >= 2
 
 
-@dataclass
-class CustomerRecord:
-    index: int
-    arrival: Optional[float] = None
-    service_start: Optional[float] = None
-    departure: Optional[float] = None
-    failed: bool = False
+class CustomerRecord(SimpleNamespace):
+    """One customer's log, filled in by ``counter_scenario`` as the run goes."""
+
+    def __init__(self, index: int, arrival: float | None = None,
+                 service_start: float | None = None,
+                 departure: float | None = None, failed: bool = False):
+        super().__init__(index=index, arrival=arrival, service_start=service_start,
+                         departure=departure, failed=failed)
+
+    def __reduce__(self):  # the inherited one calls CustomerRecord() with no index
+        return CustomerRecord, (self.index,), vars(self)
 
 
-@dataclass
-class CounterResult:
+class CounterResult(NamedTuple):
     trace: list[TraceRecord]
     customers: list[CustomerRecord]
     outcome: RunOutcome

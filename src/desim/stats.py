@@ -10,16 +10,15 @@ resources compose correctly.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable, NamedTuple
 
 from .kernel import Environment
 from .process import spawn
 from .resources import Resource
 from .rng import Rng
-from .scenarios import build_party
+from .scenarios import build_party, check_party
 
 __all__ = [
     "SweepResult",
@@ -37,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     """Waiting-time aggregate of one seeded party run.
 
     ``exhausted_at`` is the stop time when the run ran out of events before
@@ -69,15 +67,10 @@ def simulate(n: int, t: float, variant: str = "ordered", seed: int = 0) -> Sweep
     env = Environment(seed)
     party = build_party(env, n, variant)
     outcome = env.run(until=t)
-    return SweepResult(
-        variant=variant,
-        n=n,
-        t=float(t),
-        seed=seed,
-        mean_waiting=party.mean_waiting,
-        per_philosopher=tuple(ph.waiting for ph in party.philosophers),
-        exhausted_at=outcome.at if outcome.exhausted else None,
-    )
+    return SweepResult(variant=variant, n=n, t=float(t), seed=seed,
+                       mean_waiting=party.mean_waiting,
+                       per_philosopher=tuple(ph.waiting for ph in party.philosophers),
+                       exhausted_at=outcome.at if outcome.exhausted else None)
 
 
 def derive_seed(base_seed: int, variant: str, n: int) -> int:
@@ -86,13 +79,13 @@ def derive_seed(base_seed: int, variant: str, n: int) -> int:
     SHA-256 over the decimal rendering of the inputs, truncated to 64 bits;
     stable across platforms and runs.
     """
+    import hashlib  # here, not at the top: only a sweep pays for OpenSSL
     text = f"{base_seed}:{variant}:{n}".encode("ascii")
     return int.from_bytes(hashlib.sha256(text).digest()[:8], "big")
 
 
 def _run_cell(cell: tuple[int, float, str, int]) -> SweepResult:
-    n, t, variant, seed = cell
-    return simulate(n, t, variant, seed)
+    return simulate(*cell)
 
 
 def sweep(variant: str, n_values: Iterable[int], t: float,
@@ -108,14 +101,12 @@ def sweep(variant: str, n_values: Iterable[int], t: float,
     bases = list(seeds)
     if not ns or not bases:
         raise ValueError("sweep needs at least one party size and one seed")
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers!r}")
+    if not isinstance(workers, int) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     _check_horizon(t)
-    cells = [
-        (n, t, variant, derive_seed(base, variant, n))
-        for n in ns
-        for base in bases
-    ]
+    check_party(variant, *ns)
+    cells = [(n, t, variant, derive_seed(base, variant, n))
+             for n in ns for base in bases]
     workers = min(workers, len(cells))
     if workers > 1:
         from multiprocessing import Pool
@@ -161,18 +152,17 @@ def parse_csv(text: str) -> list[CsvRow]:
     return rows
 
 
-@dataclass(frozen=True)
-class MM1Params:
+class MM1Params(namedtuple("MM1Params", "arrival_rate service_rate")):
     """Single-server queue rates; requires stability (arrival < service)."""
 
-    arrival_rate: float
-    service_rate: float
+    __slots__ = ()
+    _make = classmethod(lambda cls, rates: cls(*rates))  # so _replace checks too
 
-    def __post_init__(self) -> None:
-        if not 0 < self.arrival_rate < self.service_rate:
-            raise ValueError(
-                f"need 0 < arrival_rate < service_rate, got "
-                f"{self.arrival_rate!r}, {self.service_rate!r}")
+    def __new__(cls, arrival_rate: float, service_rate: float):
+        if not 0 < arrival_rate < service_rate:
+            raise ValueError(f"need 0 < arrival_rate < service_rate, "
+                             f"got {arrival_rate!r}, {service_rate!r}")
+        return super().__new__(cls, arrival_rate, service_rate)
 
 
 def mm1_expected_wait(params: MM1Params) -> float:
@@ -219,6 +209,8 @@ def mm1_simulate(params: MM1Params, n_customers: int, seed: int = 0) -> float:
 
 def exponential_ks(seed: int, mean: float, n: int) -> float:
     """Kolmogorov-Smirnov distance of ``n`` draws of ``Rng(seed)`` from Exp(mean)."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n!r}")
     rng = Rng(seed)
     draws = sorted(rng.expovariate_mean(mean) for _ in range(n))
     ks = 0.0

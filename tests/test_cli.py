@@ -236,6 +236,19 @@ class TestExitCodes:
         assert code == 1 and out == ""
         assert "usage error" in err
 
+    def test_party_too_small_for_a_pool_is_usage_error_before_any_pool(self, monkeypatch):
+        import multiprocessing
+
+        class NoPool:
+            def __init__(self, processes):
+                raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", NoPool)
+        code, out, err = run_cli("sweep", "--scenario", "ordered", "--n", "1..3",
+                                 "--workers", "2")
+        assert code == 1 and out == ""
+        assert err == "usage error: a party needs at least 2 philosophers, got 1\n"
+
     def test_library_rejection_is_usage_error_in_its_own_words(self):
         code, out, err = run_cli("run", "--scenario", "classic", "--n", "1")
         assert code == 1 and out == ""

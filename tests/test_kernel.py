@@ -12,6 +12,7 @@ from desim import (
     Environment,
     LifecycleError,
     Resource,
+    RunOutcome,
     UnhandledFailureError,
     all_of,
     any_of,
@@ -251,6 +252,16 @@ class TestStepAndRun:
         env = Environment(0)
         assert env.step() is False
         assert env.now == 0.0
+
+    def test_run_outcome_is_a_frozen_value(self):
+        env = Environment(0)
+        env.timeout(5.0)
+        outcome = env.run(until=3.0)
+        assert repr(outcome) == "RunOutcome(exhausted=False, at=3.0)"
+        assert outcome == RunOutcome(exhausted=False, at=3.0) != RunOutcome(True, 3.0)
+        assert outcome.reached_horizon and not RunOutcome(True, 3.0).reached_horizon
+        with pytest.raises(AttributeError):
+            outcome.at = 4.0
 
     def test_run_until_processes_events_at_horizon(self):
         env = Environment(0)

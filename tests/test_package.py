@@ -1,4 +1,9 @@
-"""The package's public surface: every layer's ``__all__``, re-exported."""
+"""The package's public surface: every layer's ``__all__``, re-exported, and
+what importing it costs."""
+
+import os
+import subprocess
+import sys
 
 import desim
 from desim import kernel, process, resources, rng
@@ -16,3 +21,30 @@ def test_each_export_is_the_object_its_layer_defines():
     for layer in LAYERS:
         for name in layer.__all__:
             assert getattr(desim, name) is getattr(layer, name)
+
+
+def test_importing_the_package_loads_no_stdlib_module_it_does_not_use():
+    """A cold start skips ``dataclasses`` and defers ``hashlib`` and ``json``.
+
+    Runs in a fresh interpreter without ``site``, so nothing is preloaded;
+    the deferred imports must still give the same seed and the same line.
+    """
+    src = os.path.dirname(os.path.dirname(desim.__file__))
+    script = "\n".join([
+        "import sys",
+        f"sys.path.insert(0, {src!r})",
+        "import desim, desim.scenarios, desim.stats, desim.cli",
+        "print(sorted(m for m in ('dataclasses', 'inspect', 'hashlib', 'json')",
+        "             if m in sys.modules))",
+        "from desim.scenarios import TraceRecord",
+        "print(desim.stats.derive_seed(0, 'ordered', 2))",
+        "print(desim.cli.emit_trace([TraceRecord(1.5, 'P0', 'gave up')], 'jsonl'), end='')",
+    ])
+    done = subprocess.run([sys.executable, "-S", "-c", script],
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == [
+        "[]",
+        "2920268671547522315",
+        '{"time": 1.5, "actor": "P0", "message": "gave up"}',
+    ]

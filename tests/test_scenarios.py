@@ -1,5 +1,7 @@
 """Party variants and the service counter against hand-traced expectations."""
 
+import pickle
+
 import pytest
 
 from desim import Condition, Container, Environment, Process, Resource
@@ -8,6 +10,9 @@ from desim.scenarios import (
     GIVE_UP_TRANSITION,
     VARIANTS,
     Chef,
+    CounterResult,
+    CustomerRecord,
+    Party,
     Philosopher,
     PhilosopherState,
     build_party,
@@ -459,3 +464,32 @@ class TestCounter:
         assert result.outcome.reached_horizon and result.outcome.at == 5.0
         assert all(r.time <= 5.0 for r in result.trace)
         assert any(c.departure is None for c in result.customers)
+
+
+class TestRecordValues:
+    def test_party_fields_defaults_and_equality(self):
+        env = Environment(0)
+        party = build_party(env, 3, "ordered")
+        assert party.bowl is None and party.chef is None
+        same = Party(philosophers=party.philosophers, chopsticks=party.chopsticks)
+        assert same == party
+        assert repr(same).startswith("Party(philosophers=[")
+        with pytest.raises(AttributeError):
+            party.bowl = Container(env, init=1.0, capacity=1.0)
+
+    def test_counter_result_repr_and_equality(self):
+        result = counter_scenario(Environment(3), n_customers=2)
+        assert result == CounterResult(result.trace, result.customers, result.outcome)
+        assert repr(result).startswith(
+            "CounterResult(trace=[TraceRecord(time=0.0, actor='The operator', ")
+        assert result.outcome.exhausted
+
+    def test_customer_record_is_a_mutable_value(self):
+        record = CustomerRecord(4)
+        assert repr(record) == ("CustomerRecord(index=4, arrival=None, "
+                                "service_start=None, departure=None, failed=False)")
+        record.arrival, record.failed = 1.5, True
+        assert record == CustomerRecord(4, arrival=1.5, failed=True)
+        assert record != CustomerRecord(4)
+        copy = pickle.loads(pickle.dumps(record))
+        assert copy == record and type(copy) is CustomerRecord

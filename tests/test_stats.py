@@ -1,6 +1,7 @@
 """Seeded randomness, sweep harness, CSV round-trip, and the M/M/1 oracle."""
 
 import math
+import pickle
 
 import pytest
 
@@ -58,6 +59,12 @@ class TestRng:
     @pytest.mark.parametrize("seed", [0, 7, 102])
     def test_ks_helper_matches_the_oracle_exactly(self, seed):
         assert exponential_ks(seed, 4.0, 10_000) == ks_by_hand(seed)
+
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_ks_of_no_draws_is_rejected(self, n):
+        # Zero draws used to read as a perfect fit, 0.0, which validate passes.
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            exponential_ks(0, 10.0, n)
 
     def test_randint_bounds(self):
         rng = Rng(5)
@@ -155,6 +162,26 @@ class TestSweep:
         with pytest.raises(ValueError, match="horizon must be finite and > 0"):
             sweep("ordered", [2, 3], t, [0], workers=2)
 
+    def test_non_integer_workers_rejected(self):
+        with pytest.raises(ValueError, match=r"workers must be an integer >= 1, got 2\.5"):
+            sweep("ordered", [2], 100.0, [0], workers=2.5)
+
+    @pytest.mark.parametrize("variant, ns, message", [
+        ("bogus", [2, 3], "unknown variant 'bogus'"),
+        ("ordered", [1, 2], "a party needs at least 2 philosophers, got 1"),
+        ("ordered", [2, 1], "a party needs at least 2 philosophers, got 1"),
+    ])
+    def test_bad_party_rejected_before_any_pool(self, variant, ns, message, monkeypatch):
+        import multiprocessing
+
+        class NoPool:
+            def __init__(self, processes):
+                raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(multiprocessing, "Pool", NoPool)
+        with pytest.raises(ValueError, match=message):
+            sweep(variant, ns, 100.0, [0], workers=2)
+
     def test_pool_never_exceeds_the_cell_count(self, monkeypatch):
         import multiprocessing
 
@@ -244,3 +271,47 @@ class TestMM1:
         observed = mm1_simulate(params, 100_000, seed=0)
         expected = mm1_expected_wait(params)
         assert abs(observed - expected) <= 0.1 * expected
+
+
+class TestRecordValues:
+    ROW = ("classic", 5, 1000.0, 3, 12.5, (12.5, 12.5), 900.0)
+
+    def test_sweep_result_repr_equality_and_defaults(self):
+        row = SweepResult(*self.ROW)
+        assert repr(row) == (
+            "SweepResult(variant='classic', n=5, t=1000.0, seed=3, mean_waiting=12.5, "
+            "per_philosopher=(12.5, 12.5), exhausted_at=900.0)")
+        assert row == SweepResult(variant="classic", n=5, t=1000.0, seed=3,
+                                  mean_waiting=12.5, per_philosopher=(12.5, 12.5),
+                                  exhausted_at=900.0)
+        assert row != SweepResult(*self.ROW[:-1])
+        assert SweepResult(*self.ROW[:-1]).exhausted_at is None
+
+    def test_sweep_result_is_frozen_and_pickles(self):
+        row = SweepResult(*self.ROW)
+        with pytest.raises(AttributeError):
+            row.mean_waiting = 0.0
+        copy = pickle.loads(pickle.dumps(row))
+        assert copy == row and type(copy) is SweepResult and copy.deadlocked
+
+    def test_mm1_params_repr_equality_and_frozen(self):
+        params = MM1Params(service_rate=0.1, arrival_rate=0.05)
+        assert repr(params) == "MM1Params(arrival_rate=0.05, service_rate=0.1)"
+        assert params == MM1Params(0.05, 0.1)
+        assert hash(params) == hash(MM1Params(0.05, 0.1))
+        assert pickle.loads(pickle.dumps(params)) == params
+        with pytest.raises(AttributeError):
+            params.arrival_rate = 0.2
+        with pytest.raises(AttributeError):
+            params.note = "no other fields either"
+
+    def test_mm1_params_error_message(self):
+        with pytest.raises(ValueError) as info:
+            MM1Params(0.2, 0.1)
+        assert str(info.value) == "need 0 < arrival_rate < service_rate, got 0.2, 0.1"
+
+    def test_mm1_params_replace_is_checked_too(self):
+        params = MM1Params(0.05, 0.1)
+        assert params._replace(arrival_rate=0.01) == MM1Params(0.01, 0.1)
+        with pytest.raises(ValueError, match="need 0 < arrival_rate < service_rate"):
+            params._replace(arrival_rate=0.2)
