@@ -1,7 +1,7 @@
 """Command line front end: run scenarios, sweep waiting times, validate.
 
-Exit codes: 0 success, 1 usage error (a bad flag, or an argument the library
-rejects with ValueError before any event is processed), 2 kernel contract
+Exit codes: 0 success, 1 usage error (a ValueError: a bad flag, or an
+argument the library rejects before any event is processed), 2 kernel contract
 error (e.g. an unhandled process failure). Deadlock of the classic party is a
 normal, expected outcome and exits 0 with a report line.
 """
@@ -30,13 +30,9 @@ KS_CRITICAL_1PCT_10K = 0.01628  # 1.628 / sqrt(10_000)
 CLASSIC_HORIZON = 1e6
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # noqa: D102 - argparse hook
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def emit_trace(records: Iterable[TraceRecord], fmt: str = "human",
@@ -113,7 +109,7 @@ def _write(path: str | None, stdout: IO[str], render: Callable[[], str]) -> int:
     try:
         sink = open(path, "a", encoding="utf-8", newline="\n")
     except OSError as exc:
-        raise _UsageError(f"cannot write --output: {exc}") from None
+        raise ValueError(f"cannot write --output: {exc}") from None
     with sink:
         text = render()
         if stat.S_ISREG(os.fstat(sink.fileno()).st_mode):
@@ -129,16 +125,16 @@ def _cmd_run(args, stdout: IO[str]) -> int:
         # traditionally reported at one decimal, the philosopher traces at six.
         precision = 1 if args.scenario == "counter" else 6
     if precision < 0:
-        raise _UsageError("--precision must be >= 0")
+        raise ValueError("--precision must be >= 0")
     if args.scenario != "counter":
         if args.until is None and args.scenario != "classic":
             # Only a classic party can run out of events (by deadlocking).
-            raise _UsageError(f"--until is required for the {args.scenario} "
-                              f"scenario, which never runs to exhaustion")
+            raise ValueError(f"--until is required for the {args.scenario} "
+                             f"scenario, which never runs to exhaustion")
         if args.format == "jsonl" and not args.diag:
             # jsonl carries trace records only, not the report lines.
-            raise _UsageError("--format jsonl prints a party's trace, "
-                              "which needs --diag")
+            raise ValueError("--format jsonl prints a party's trace, "
+                             "which needs --diag")
     return _write(args.output, stdout, lambda: _run_scenario(args, precision))
 
 
@@ -174,8 +170,6 @@ def _cmd_sweep(args, stdout: IO[str]) -> int:
 
 
 def _cmd_validate(args, stdout: IO[str]) -> int:
-    if args.customers < 1:
-        raise _UsageError("--customers must be >= 1")
     ks = exponential_ks(args.seed, 10.0, 10_000)
     checks = [(
         "exponential draws vs analytic CDF (KS, 1% level)",
@@ -213,8 +207,8 @@ def main(argv: list[str] | None = None, stdout: IO[str] | None = None,
         if args.command == "sweep":
             return _cmd_sweep(args, stdout)
         return _cmd_validate(args, stdout)
-    except (_UsageError, ValueError) as exc:
-        # The library rejects bad arguments with ValueError before any event;
+    except ValueError as exc:
+        # A bad flag, or an argument the library rejects before any event;
         # one raised in a process body surfaces as UnhandledFailureError.
         stderr.write(f"usage error: {exc}\n")
         return 1

@@ -22,6 +22,8 @@ class Rng:
     __slots__ = ("_mt",)
 
     def __init__(self, seed: int):
+        if not isinstance(seed, int) or seed < 0:
+            raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         self._mt = random.Random(seed)
 
     def random(self) -> float:

@@ -124,7 +124,6 @@ class Philosopher:
             raise ValueError(f"{variant} philosophers "
                              f"{'need a' if eats_rice else 'take no'} bowl")
         self.env = env
-        self.id = my_id
         self.variant = variant
         self.chopsticks = pair
         self.bowl = bowl

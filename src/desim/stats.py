@@ -178,10 +178,8 @@ def mm1_simulate(params: MM1Params, n_customers: int, seed: int = 0) -> float:
     Poisson arrivals at ``arrival_rate``, exponential service at
     ``service_rate``; the wait is measured from request to grant.
     """
-    if n_customers < 0:
-        raise ValueError(f"n_customers must be >= 0, got {n_customers!r}")
-    if n_customers == 0:
-        return 0.0
+    if not isinstance(n_customers, int) or n_customers < 1:
+        raise ValueError(f"n_customers must be an integer >= 1, got {n_customers!r}")
     env = Environment(seed)
     server = Resource(env, capacity=1)
     mean_service = 1.0 / params.service_rate

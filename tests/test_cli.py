@@ -230,6 +230,7 @@ class TestExitCodes:
         ("sweep", "--scenario", "ordered", "--until", "inf"),
         ("validate", "--customers", "0"),
         ("validate", "--customers", "-5"),
+        ("run", "--scenario", "counter", "--seed", "-5"),
     ], ids=" ".join)
     def test_out_of_range_option_is_usage_error(self, argv):
         code, out, err = run_cli(*argv)
@@ -253,6 +254,11 @@ class TestExitCodes:
         code, out, err = run_cli("run", "--scenario", "classic", "--n", "1")
         assert code == 1 and out == ""
         assert err == "usage error: a party needs at least 2 philosophers, got 1\n"
+
+    def test_customer_count_is_checked_by_the_library(self):
+        code, out, err = run_cli("validate", "--customers", "0")
+        assert code == 1 and out == ""
+        assert err == "usage error: n_customers must be an integer >= 1, got 0\n"
 
     @pytest.mark.parametrize("argv", [
         ("run", "--scenario", "counter", "--n", "2"),

@@ -40,6 +40,12 @@ class TestEnvironment:
         a, b = Environment(seed=1), Environment(seed=2)
         assert a.rng.expovariate_mean(10.0) != b.rng.expovariate_mean(10.0)
 
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_seed_must_be_a_non_negative_integer(self, seed):
+        # random.Random seeds with abs(seed), so -1 would replay seed 1.
+        with pytest.raises(ValueError, match="seed must be an integer >= 0"):
+            Environment(seed)
+
 
 class TestTimeout:
     def test_single_timeout_advances_clock(self):
@@ -386,6 +392,10 @@ class TestComposites:
             any_of(env, [])
         with pytest.raises(ValueError):
             all_of(env, [])
+
+    def test_constituent_of_another_environment_rejected(self):
+        with pytest.raises(LifecycleError, match="different environment"):
+            any_of(Environment(0), [Environment(1).event()])
 
     def test_singleton_matches_constituent_clock_and_disposition(self):
         env = Environment(0)

@@ -232,6 +232,10 @@ class TestCsv:
         with pytest.raises(ValueError):
             parse_csv("nope\n1,2,3\n")
 
+    def test_malformed_deadlocked_flag_rejected(self):
+        with pytest.raises(ValueError, match="malformed deadlocked flag"):
+            parse_csv(f"{CSV_HEADER}\nclassic,5,1000.0,3,12.5,yes\n")
+
 
 class TestMM1:
     def test_closed_form_known_answers(self):
@@ -249,8 +253,11 @@ class TestMM1:
         with pytest.raises(ValueError):
             MM1Params(0.0, 0.1)
 
-    def test_zero_customers_means_zero_wait(self):
-        assert mm1_simulate(MM1Params(0.05, 0.1), 0) == 0.0
+    @pytest.mark.parametrize("n", [0, -5, 2.5])
+    def test_customer_count_must_be_a_positive_integer(self, n):
+        # No mean wait from no data; a fractional count fails before any event.
+        with pytest.raises(ValueError, match="n_customers must be an integer >= 1"):
+            mm1_simulate(MM1Params(0.05, 0.1), n)
 
     def test_simulation_is_deterministic(self):
         a = mm1_simulate(MM1Params(0.05, 0.1), 2000, seed=4)
