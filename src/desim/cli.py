@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import stat
 import sys
 from typing import IO, Callable, Iterable
 
@@ -98,22 +97,23 @@ def _build_parser() -> _Parser:
 
 
 def _write(path: str | None, stdout: IO[str], render: Callable[[], str]) -> int:
-    """Write ``render()`` to stdout, or to ``path`` opened (not emptied) first.
+    """Write ``render()`` to stdout, or to ``path`` once it has rendered.
 
-    An existing file is emptied only once the text is rendered, and only if
-    it is a regular file: a device or a pipe cannot be truncated.
+    ``path`` is checked before the run; a failed run neither replaces nor creates it.
     """
+    if path is not None:
+        target = path if os.path.exists(path) else os.path.dirname(path) or os.curdir
+        if os.path.isdir(path) or not os.access(target, os.W_OK):
+            raise ValueError(f"cannot write --output: no writable file at {path!r}")
+    text = render()
     if path is None:
-        stdout.write(render())
+        stdout.write(text)
         return 0
     try:
-        sink = open(path, "a", encoding="utf-8", newline="\n")
+        sink = open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise ValueError(f"cannot write --output: {exc}") from None
     with sink:
-        text = render()
-        if stat.S_ISREG(os.fstat(sink.fileno()).st_mode):
-            sink.truncate(0)
         sink.write(text)
     return 0
 

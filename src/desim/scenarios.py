@@ -292,8 +292,8 @@ def counter_scenario(env: Environment, n_customers: int = 10,
     one service in ``FAIL_ONE_IN`` on average; with nothing to do it sleeps
     on an event nobody ever triggers until a customer interrupts it.
     """
-    if n_customers < 1:
-        raise ValueError("n_customers must be >= 1")
+    if not isinstance(n_customers, int) or n_customers < 1:
+        raise ValueError(f"n_customers must be an integer >= 1, got {n_customers!r}")
     trace: list[TraceRecord] = []
     line: deque[tuple[Event, CustomerRecord]] = deque()
     records = [CustomerRecord(i) for i in range(n_customers)]

@@ -207,8 +207,8 @@ def mm1_simulate(params: MM1Params, n_customers: int, seed: int = 0) -> float:
 
 def exponential_ks(seed: int, mean: float, n: int) -> float:
     """Kolmogorov-Smirnov distance of ``n`` draws of ``Rng(seed)`` from Exp(mean)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n!r}")
+    if not isinstance(n, int) or n < 1:
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     rng = Rng(seed)
     draws = sorted(rng.expovariate_mean(mean) for _ in range(n))
     ks = 0.0

@@ -154,6 +154,24 @@ class TestOutputFile:
         assert code == 2
         assert target.read_text() == "keep\n"
 
+    def test_rejected_argument_creates_no_file(self, tmp_path):
+        # The path is created only once the run has succeeded.
+        target = tmp_path / "new.txt"
+        code, out, err = run_cli("run", "--scenario", "counter", "--seed", "-5",
+                                 "--output", str(target))
+        assert code == 1 and out == "" and err.startswith("usage error: ")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_simulation_error_creates_no_file(self, tmp_path, monkeypatch):
+        import desim.cli as cli
+        def explode(env, config, until):
+            raise UnhandledFailureError(RuntimeError("boom"), "counter")
+        monkeypatch.setattr(cli, "counter_scenario", explode)
+        code, out, _ = run_cli("run", "--scenario", "counter", "--output",
+                               str(tmp_path / "trace.txt"))
+        assert code == 2 and out == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_longer_existing_file_is_fully_replaced(self, tmp_path):
         args = ("run", "--scenario", "counter", "--n", "2", "--seed", "3")
         _, expected, _ = run_cli(*args)

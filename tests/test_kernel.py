@@ -46,6 +46,13 @@ class TestEnvironment:
         with pytest.raises(ValueError, match="seed must be an integer >= 0"):
             Environment(seed)
 
+    def test_repr_shows_clock_and_queue_length(self):
+        env = Environment(0)
+        env.timeout(2.5)
+        assert repr(env) == "<Environment now=0.0 queued=1>"
+        env.run()
+        assert repr(env) == "<Environment now=2.5 queued=0>"
+
 
 class TestTimeout:
     def test_single_timeout_advances_clock(self):

@@ -42,6 +42,15 @@ class TestSpawn:
         with pytest.raises(TypeError):
             spawn(env, lambda: None)
 
+    def test_repr_shows_name_id_and_stage(self):
+        env = Environment(0)
+        def body():
+            yield env.timeout(1.0)
+        handle = spawn(env, body(), name="worker")
+        assert repr(handle) == f"<Process 'worker' #{handle.eid} pending>"
+        env.run()
+        assert repr(handle) == f"<Process 'worker' #{handle.eid} processed>"
+
 
 class TestSuspension:
     def test_timeout_resumes_with_value_at_right_time(self):

@@ -1,0 +1,84 @@
+"""Known-answer checks for multi-server grants and fixed service times.
+
+No model in ``desim.scenarios`` uses a ``Resource`` with capacity above 1 or a
+fixed service time, and ``mm1_simulate`` covers M/M/1 only. A small FIFO queue
+model, defined here, is checked against two closed forms in the same 10% band
+as the M/M/1 oracle:
+
+- M/M/c, mean queue wait by Erlang C (Erlang 1917; Kleinrock 1975,
+  *Queueing Systems*, Vol. 1);
+- M/D/1, mean queue wait by Pollaczek-Khinchine, Wq = rho / (2 mu (1 - rho)).
+"""
+
+import math
+
+import pytest
+
+from desim import Environment, Resource, spawn
+
+CUSTOMERS = 60_000
+SERVICE_RATE = 0.1
+
+
+def mean_queue_wait(servers, arrival_rate, service_time, seed=0):
+    """Mean request-to-grant wait of ``CUSTOMERS`` Poisson arrivals.
+
+    Each customer holds one of ``servers`` units for ``service_time(rng)``.
+    """
+    env = Environment(seed)
+    desk = Resource(env, servers)
+    total_wait = 0.0
+
+    def customer():
+        nonlocal total_wait
+        arrived = env.now
+        grant = desk.request()
+        yield grant
+        total_wait += env.now - arrived
+        yield env.timeout(service_time(env.rng))
+        desk.release(grant)
+
+    def arrivals():
+        for _ in range(CUSTOMERS):
+            spawn(env, customer())
+            yield env.timeout(env.rng.expovariate_mean(1.0 / arrival_rate))
+
+    spawn(env, arrivals())
+    env.run()
+    return total_wait / CUSTOMERS
+
+
+def erlang_c_wait(servers, arrival_rate, service_rate):
+    """Mean queue wait of M/M/c: P(wait) / (c mu - lambda)."""
+    load = arrival_rate / service_rate
+    rho = load / servers
+    queued = load ** servers / math.factorial(servers) / (1.0 - rho)
+    idle = sum(load ** k / math.factorial(k) for k in range(servers))
+    return queued / (idle + queued) / (servers * service_rate - arrival_rate)
+
+
+def pollaczek_khinchine_wait(rho, service_rate):
+    """Mean queue wait of M/D/1."""
+    return rho / (2.0 * service_rate * (1.0 - rho))
+
+
+def test_erlang_c_reduces_to_the_mm1_closed_form():
+    # With one server, Erlang C is lambda / (mu (mu - lambda)).
+    assert erlang_c_wait(1, 0.05, 0.1) == pytest.approx(10.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("servers, rho", [(2, 0.75), (3, 0.80)])
+def test_multi_server_wait_matches_erlang_c(servers, rho):
+    arrival_rate = rho * servers * SERVICE_RATE
+    expected = erlang_c_wait(servers, arrival_rate, SERVICE_RATE)
+    observed = mean_queue_wait(
+        servers, arrival_rate,
+        lambda rng: rng.expovariate_mean(1.0 / SERVICE_RATE))
+    assert abs(observed - expected) <= 0.1 * expected
+
+
+@pytest.mark.parametrize("rho", [0.5, 0.8])
+def test_fixed_service_wait_matches_pollaczek_khinchine(rho):
+    expected = pollaczek_khinchine_wait(rho, SERVICE_RATE)
+    observed = mean_queue_wait(1, rho * SERVICE_RATE, lambda rng: 1.0 / SERVICE_RATE)
+    assert abs(observed - expected) <= 0.1 * expected

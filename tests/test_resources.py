@@ -152,6 +152,11 @@ class TestContainer:
         with pytest.raises(ValueError):
             Container(env, init=0.0, capacity=0.0)
 
+    def test_repr_shows_level_and_capacity(self):
+        box = Container(Environment(0), init=5.0, capacity=10.0)
+        box.get(2)
+        assert repr(box) == "<Container level=3.0 capacity=10.0>"
+
     def test_event_amount_is_a_float(self):
         box = Container(Environment(0), init=5.0, capacity=10.0)
         got = box.get(3)

@@ -455,8 +455,11 @@ class TestCounter:
         assert result.trace[-2].message in ("fell asleep", "left", "failed (and left)")
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            counter_scenario(Environment(0), n_customers=0)
+        # Every bad count is a ValueError, not a TypeError from comparing it.
+        for n in (0, -1, 2.5, "3"):
+            with pytest.raises(ValueError,
+                               match=f"n_customers must be an integer >= 1, got {n!r}"):
+                counter_scenario(Environment(0), n_customers=n)
 
     def test_horizon_cuts_the_scenario_short(self):
         env = Environment(3)

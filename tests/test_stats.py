@@ -63,7 +63,12 @@ class TestRng:
     @pytest.mark.parametrize("n", [0, -5])
     def test_ks_of_no_draws_is_rejected(self, n):
         # Zero draws used to read as a perfect fit, 0.0, which validate passes.
-        with pytest.raises(ValueError, match="n must be >= 1"):
+        with pytest.raises(ValueError, match="n must be an integer >= 1"):
+            exponential_ks(0, 10.0, n)
+
+    @pytest.mark.parametrize("n", [2.5, "3"])
+    def test_ks_count_must_be_an_integer(self, n):
+        with pytest.raises(ValueError, match=f"n must be an integer >= 1, got {n!r}"):
             exponential_ks(0, 10.0, n)
 
     def test_randint_bounds(self):
