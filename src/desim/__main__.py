@@ -1,5 +1,5 @@
 """``python -m desim``: the same command line as the ``desim`` script."""
 
-from .cli import console_main
+from .cli import main
 
-console_main()
+raise SystemExit(main())

@@ -18,7 +18,7 @@ from .scenarios import VARIANTS, TraceRecord, build_party, counter_scenario
 from .stats import (MM1Params, exponential_ks, mm1_expected_wait, mm1_simulate,
                     sweep, to_csv)
 
-__all__ = ["main", "emit_trace", "console_main"]
+__all__ = ["main", "emit_trace"]
 
 SCENARIOS = VARIANTS + ("counter",)
 
@@ -217,9 +217,5 @@ def main(argv: list[str] | None = None, stdout: IO[str] | None = None,
         return 2
 
 
-def console_main() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    console_main()
+    sys.exit(main())

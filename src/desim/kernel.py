@@ -174,10 +174,6 @@ class RunOutcome(NamedTuple):
     exhausted: bool
     at: float
 
-    @property
-    def reached_horizon(self) -> bool:
-        return not self.exhausted
-
 
 class Environment:
     """Single-threaded simulation environment.

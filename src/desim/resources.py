@@ -9,6 +9,7 @@ pending events) until the head of their FIFO queue fits the current level.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 
 from .kernel import Environment, Event, LifecycleError
@@ -145,8 +146,8 @@ class Container:
 
     def _enqueue(self, kind, queue: deque, verb: str, amount: float):
         """Check ``amount``, queue a new ``kind`` event for it and settle."""
-        if not amount > 0:
-            raise ValueError(f"{verb} amount must be > 0, got {amount!r}")
+        if not (amount > 0 and math.isfinite(amount)):
+            raise ValueError(f"{verb} amount must be finite and > 0, got {amount!r}")
         if amount > self.capacity:
             raise ValueError(
                 f"{verb} of {amount!r} exceeds container capacity {self.capacity!r}")

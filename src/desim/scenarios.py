@@ -259,8 +259,14 @@ def build_party(env: Environment, n: int, variant: str,
 
 
 def detect_deadlock(chopsticks) -> bool:
-    """The tests' cross-check of a party's verdict: two or more chopsticks held."""
-    return sum(1 for c in chopsticks if c.count > 0) >= 2
+    """Whether every chopstick is held and waited for: a stuck ring, exactly.
+
+    A ``build_party`` diner waits for at most one chopstick and never cancels,
+    so n waiters among n diners each hold one and wait for the next: none can
+    release. A classic diner waiting for its first would wait on a neighbour
+    holding both, who will release them; so every stuck ring is this state.
+    """
+    return bool(chopsticks) and all(c.count and c.queued for c in chopsticks)
 
 
 class CustomerRecord(SimpleNamespace):

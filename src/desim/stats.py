@@ -153,13 +153,13 @@ def parse_csv(text: str) -> list[CsvRow]:
 
 
 class MM1Params(namedtuple("MM1Params", "arrival_rate service_rate")):
-    """Single-server queue rates; requires stability (arrival < service)."""
+    """Single-server queue rates: finite, and stable (0 < arrival < service)."""
 
     __slots__ = ()
     _make = classmethod(lambda cls, rates: cls(*rates))  # so _replace checks too
 
     def __new__(cls, arrival_rate: float, service_rate: float):
-        if not 0 < arrival_rate < service_rate:
+        if not 0 < arrival_rate < service_rate < math.inf:
             raise ValueError(f"need 0 < arrival_rate < service_rate, "
                              f"got {arrival_rate!r}, {service_rate!r}")
         return super().__new__(cls, arrival_rate, service_rate)

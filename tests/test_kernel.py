@@ -272,7 +272,7 @@ class TestStepAndRun:
         outcome = env.run(until=3.0)
         assert repr(outcome) == "RunOutcome(exhausted=False, at=3.0)"
         assert outcome == RunOutcome(exhausted=False, at=3.0) != RunOutcome(True, 3.0)
-        assert outcome.reached_horizon and not RunOutcome(True, 3.0).reached_horizon
+        assert not outcome.exhausted
         with pytest.raises(AttributeError):
             outcome.at = 4.0
 
@@ -283,7 +283,7 @@ class TestStepAndRun:
         ev.add_callback(lambda e: hit.append(env.now))
         outcome = env.run(until=10.0)
         assert hit == [10.0]
-        assert outcome.reached_horizon and outcome.at == 10.0
+        assert not outcome.exhausted and outcome.at == 10.0
 
     def test_run_until_skips_later_events(self):
         env = Environment(0)
@@ -293,7 +293,7 @@ class TestStepAndRun:
         outcome = env.run(until=10.0)
         assert hit == []
         assert not later.processed
-        assert outcome.reached_horizon and env.now == 10.0
+        assert not outcome.exhausted and env.now == 10.0
 
     def test_run_exhausted_keeps_last_processed_time(self):
         env = Environment(0)
@@ -305,7 +305,7 @@ class TestStepAndRun:
     def test_run_until_zero_on_fresh_env(self):
         env = Environment(0)
         outcome = env.run(until=0.0)
-        assert outcome.reached_horizon and outcome.at == 0.0
+        assert not outcome.exhausted and outcome.at == 0.0
 
     def test_run_until_zero_processes_zero_time_entries(self):
         env = Environment(0)

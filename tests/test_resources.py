@@ -1,5 +1,6 @@
 """Resource grant/release/cancel discipline and container stock accounting."""
 
+import math
 import random
 
 import pytest
@@ -208,6 +209,18 @@ class TestContainer:
             bowl.get(amount)
         with pytest.raises(ValueError):
             bowl.put(amount)
+
+    @pytest.mark.parametrize("amount", [math.inf, math.nan])
+    def test_non_finite_amounts_rejected(self, amount):
+        # An infinite capacity is allowed, so only this check stops an
+        # infinite put and get from leaving the level at NaN.
+        env = Environment(0)
+        bowl = Container(env, init=5.0, capacity=math.inf)
+        for verb in ("put", "get"):
+            with pytest.raises(ValueError) as info:
+                getattr(bowl, verb)(amount)
+            assert str(info.value) == f"{verb} amount must be finite and > 0, got {amount!r}"
+        assert bowl.level == 5.0 and not bowl.put_queue and not bowl.get_queue
 
     def test_put_when_full_blocks_until_space(self):
         env = Environment(0)

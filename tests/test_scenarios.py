@@ -150,8 +150,8 @@ class TestClassicDeadlock:
                    for ph in party.philosophers)
 
     def test_two_philosophers_can_deadlock_unordered_but_not_ordered(self):
-        # The deadlock check is only meaningful after exhaustion; a horizon
-        # snapshot legitimately shows chopsticks mid-acquisition.
+        # Every seed that exhausts must be a stuck ring, and no ordered pair
+        # ever exhausts.
         classic_exhausted = []
         for seed in range(30):
             env = Environment(seed)
@@ -163,15 +163,19 @@ class TestClassicDeadlock:
         for seed in range(30):
             env = Environment(seed)
             build_party(env, 2, "ordered")
-            assert env.run(until=2000.0).reached_horizon
+            assert not env.run(until=2000.0).exhausted
 
-    def test_detect_deadlock_thresholds(self):
+    def test_detect_deadlock_needs_every_chopstick_held_and_waited_for(self):
         env = Environment(0)
-        chopsticks = [Resource(env, 1) for _ in range(5)]
-        assert not detect_deadlock(chopsticks)
+        assert not detect_deadlock([])
+        chopsticks = [Resource(env, 1) for _ in range(3)]
+        for c in chopsticks:
+            c.request()
+        assert not detect_deadlock(chopsticks)  # all held, nobody waiting
         chopsticks[0].request()
-        assert not detect_deadlock(chopsticks)  # one holder is not a cycle
-        chopsticks[3].request()
+        chopsticks[1].request()
+        assert not detect_deadlock(chopsticks)  # the third has no waiter
+        chopsticks[2].request()
         assert detect_deadlock(chopsticks)
 
 
@@ -464,7 +468,7 @@ class TestCounter:
     def test_horizon_cuts_the_scenario_short(self):
         env = Environment(3)
         result = counter_scenario(env, until=5.0)
-        assert result.outcome.reached_horizon and result.outcome.at == 5.0
+        assert not result.outcome.exhausted and result.outcome.at == 5.0
         assert all(r.time <= 5.0 for r in result.trace)
         assert any(c.departure is None for c in result.customers)
 

@@ -258,6 +258,12 @@ class TestMM1:
         with pytest.raises(ValueError):
             MM1Params(0.0, 0.1)
 
+    @pytest.mark.parametrize("rates", [(0.05, math.inf), (math.nan, 0.1)])
+    def test_rates_must_be_finite(self, rates):
+        # An infinite service rate would otherwise fail only inside the run.
+        with pytest.raises(ValueError, match="need 0 < arrival_rate < service_rate"):
+            MM1Params(*rates)
+
     @pytest.mark.parametrize("n", [0, -5, 2.5])
     def test_customer_count_must_be_a_positive_integer(self, n):
         # No mean wait from no data; a fractional count fails before any event.
