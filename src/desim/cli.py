@@ -38,14 +38,36 @@ def emit_trace(records: Iterable[TraceRecord], fmt: str = "human",
                precision: int = 6) -> str:
     """Render trace records, one per line; empty input yields empty output."""
     if fmt == "human":
-        return "".join(f"{r.actor} {r.message} @{r.time:.{precision}f}\n"
-                       for r in records)
+        line = f"%s %s @%.{precision}f\n"  # one format: the bytes of {time:.{p}f}
+        return "".join([line % (actor, message, time)
+                        for time, actor, message in records])
     if fmt == "jsonl":
         import json  # here, not at the top: only jsonl output needs it
         return "".join(json.dumps({"time": r.time, "actor": r.actor,
                                    "message": r.message}) + "\n"
                        for r in records)
     raise ValueError(f"unknown trace format {fmt!r}")
+
+
+class _Spool:
+    """``--diag`` trace sink: renders every ``CHUNK`` records, keeps only the text."""
+
+    CHUNK = 4096
+
+    def __init__(self, fmt: str, precision: int):
+        self.fmt, self.precision = fmt, precision
+        self.records, self.parts = [], []  # TraceRecords held; text rendered
+
+    def append(self, record: TraceRecord) -> None:
+        self.records.append(record)
+        if len(self.records) >= self.CHUNK:
+            self.flush()
+
+    def flush(self) -> list[str]:
+        """Render the records still held; return every part rendered so far."""
+        self.parts.append(emit_trace(self.records, self.fmt, self.precision))
+        self.records = []
+        return self.parts
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -96,8 +118,8 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write(path: str | None, stdout: IO[str], render: Callable[[], str]) -> int:
-    """Write ``render()`` to stdout, or to ``path`` once it has rendered.
+def _write(path: str | None, stdout: IO[str], render: Callable[[], list[str]]) -> int:
+    """Write the parts ``render()`` returns to stdout, or to ``path``, once it returns.
 
     ``path`` is checked before the run; a failed run neither replaces nor creates it.
     """
@@ -105,16 +127,16 @@ def _write(path: str | None, stdout: IO[str], render: Callable[[], str]) -> int:
         target = path if os.path.exists(path) else os.path.dirname(path) or os.curdir
         if os.path.isdir(path) or not os.access(target, os.W_OK):
             raise ValueError(f"cannot write --output: no writable file at {path!r}")
-    text = render()
+    parts = render()
     if path is None:
-        stdout.write(text)
+        stdout.writelines(parts)
         return 0
     try:
         sink = open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise ValueError(f"cannot write --output: {exc}") from None
     with sink:
-        sink.write(text)
+        sink.writelines(parts)
     return 0
 
 
@@ -138,20 +160,20 @@ def _cmd_run(args, stdout: IO[str]) -> int:
     return _write(args.output, stdout, lambda: _run_scenario(args, precision))
 
 
-def _run_scenario(args, precision: int) -> str:
+def _run_scenario(args, precision: int) -> list[str]:
+    """Run one scenario; return its text parts: a party's ``--diag`` trace,
+    rendered in chunks as the run goes (:class:`_Spool`), then the report lines."""
     env = Environment(args.seed)
     if args.scenario == "counter":
         n = 10 if args.n is None else args.n
         result = counter_scenario(env, n, args.until)
-        return emit_trace(result.trace, args.format, precision)
+        return [emit_trace(result.trace, args.format, precision)]
     n = 5 if args.n is None else args.n
     until = CLASSIC_HORIZON if args.until is None else args.until
-    trace = [] if args.diag else None
-    party = build_party(env, n, args.scenario, trace=trace)
+    spool = _Spool(args.format, precision) if args.diag else None
+    party = build_party(env, n, args.scenario, trace=spool)
     outcome = env.run(until)
-    out: list[str] = []
-    if trace is not None:
-        out.append(emit_trace(trace, args.format, precision))
+    out = spool.flush() if spool is not None else []
     if args.format == "human":
         counts = [c.count for c in party.chopsticks]
         if outcome.exhausted:
@@ -160,13 +182,13 @@ def _run_scenario(args, precision: int) -> str:
         else:
             out.append(f"reached horizon at t={outcome.at:.{precision}f}\n")
         out.append(f"mean waiting time {party.mean_waiting:.{precision}f}\n")
-    return "".join(out)
+    return out
 
 
 def _cmd_sweep(args, stdout: IO[str]) -> int:
     ns = _parse_n_range(args.n)
-    return _write(args.output, stdout, lambda: to_csv(
-        sweep(args.scenario, ns, args.until, range(args.seeds), workers=args.workers)))
+    return _write(args.output, stdout, lambda: [to_csv(
+        sweep(args.scenario, ns, args.until, range(args.seeds), workers=args.workers))])
 
 
 def _cmd_validate(args, stdout: IO[str]) -> int:

@@ -181,9 +181,11 @@ class Container:
                 self.level -= ev.amount
                 ev.succeed(ev.amount)
                 progress = True
-            while puts and self.level + puts[0].amount <= self.capacity:
+            # A put that would overflow the level to inf stays queued; no get lowers inf
+            while puts and math.isfinite(level := self.level + puts[0].amount) \
+                    and level <= self.capacity:
                 ev = puts.popleft()
-                self.level += ev.amount
+                self.level = level
                 ev.succeed(ev.amount)
                 progress = True
 

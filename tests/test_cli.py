@@ -11,6 +11,7 @@ import pytest
 
 from desim.cli import emit_trace, main
 from desim.kernel import UnhandledFailureError
+from desim.process import spawn
 from desim.scenarios import TraceRecord
 from desim.stats import parse_csv
 
@@ -35,6 +36,15 @@ class TestEmitTrace:
         line = emit_trace(records, "jsonl").strip()
         assert json.loads(line) == {"time": 0.5, "actor": "P0",
                                     "message": "requested chopstick"}
+
+    @pytest.mark.parametrize("precision", [0, 1, 6, 12])
+    def test_human_format_matches_the_f_string_rendering(self, precision):
+        times = [0.0, 1e-7, 0.5, 2.5, 24999.9999995, 1e16, 7]
+        records = [TraceRecord(t, f"P{i}", "obtained chopstick")
+                   for i, t in enumerate(times)]
+        expected = "".join(f"{r.actor} {r.message} @{r.time:.{precision}f}\n"
+                           for r in records)
+        assert emit_trace(records, "human", precision) == expected
 
     def test_empty_records_empty_output(self):
         assert emit_trace([], "human") == ""
@@ -193,6 +203,74 @@ class TestOutputFile:
         assert (code, out, err) == (0, "", "")
 
 
+class TestDiagChunks:
+    """``--diag`` renders its trace in chunks while the run goes; the bytes
+    and the write-after-success rule are those of one whole rendering."""
+
+    ARGS = ("run", "--scenario", "impatient", "--n", "4", "--seed", "99",
+            "--until", "300", "--diag")
+    RECORDS = 226  # trace lines of ARGS; human output adds two report lines
+
+    @staticmethod
+    def spy_chunks(monkeypatch, size):
+        import desim.cli as cli
+        monkeypatch.setattr(cli._Spool, "CHUNK", size)
+        sizes = []
+        def emit(records, *args):
+            sizes.append(len(records))
+            return emit_trace(records, *args)
+        monkeypatch.setattr(cli, "emit_trace", emit)
+        return sizes
+
+    @pytest.mark.parametrize("fmt", ["human", "jsonl"])
+    def test_any_chunk_size_gives_the_same_bytes(self, monkeypatch, fmt):
+        code, expected, _ = run_cli(*self.ARGS, "--format", fmt)
+        records = self.RECORDS
+        assert code == 0
+        assert expected.count("\n") == records + (2 if fmt == "human" else 0)
+        # 1, 113 and 226 divide the record count, so the last chunk is empty.
+        for size in (1, 3, 113, records, records + 1, 10**9):
+            sizes = self.spy_chunks(monkeypatch, size)
+            assert run_cli(*self.ARGS, "--format", fmt) == (0, expected, "")
+            assert sum(sizes) == records and len(sizes) == records // size + 1
+            assert all(n == size for n in sizes[:-1]) and sizes[-1] < size
+
+    @pytest.mark.parametrize("fmt", ["human", "jsonl"])
+    def test_zero_records(self, monkeypatch, fmt):
+        sizes = self.spy_chunks(monkeypatch, 3)
+        code, out, err = run_cli(*self.ARGS[:-3], "--until", "0", "--diag",
+                                 "--format", fmt)
+        assert (code, err) == (0, "") and sizes == [0]
+        assert out == ("" if fmt == "jsonl" else
+                       "reached horizon at t=0.000000\nmean waiting time 0.000000\n")
+
+    def test_failure_after_chunks_have_rendered_writes_nothing(
+            self, tmp_path, monkeypatch):
+        import desim.cli as cli
+        sizes = self.spy_chunks(monkeypatch, 3)
+        real_build_party = cli.build_party
+        def build_party(env, *args, **kwargs):
+            def bomb():
+                yield env.timeout(100)
+                raise RuntimeError("boom")
+            party = real_build_party(env, *args, **kwargs)
+            spawn(env, bomb(), "bomb")
+            return party
+        monkeypatch.setattr(cli, "build_party", build_party)
+
+        code, out, err = run_cli(*self.ARGS)
+        assert code == 2 and out == "" and "bomb" in err
+        assert len(sizes) > 1  # more than one chunk rendered before the failure
+
+        missing = tmp_path / "new.txt"
+        code, out, _ = run_cli(*self.ARGS, "--output", str(missing))
+        assert code == 2 and out == "" and not missing.exists()
+        existing = tmp_path / "old.txt"
+        existing.write_bytes(b"keep\n")
+        code, out, _ = run_cli(*self.ARGS, "--output", str(existing))
+        assert code == 2 and out == "" and existing.read_bytes() == b"keep\n"
+
+
 class TestSweepCommand:
     def test_csv_output_parses(self):
         code, out, _ = run_cli("sweep", "--scenario", "ordered", "--n", "2..4",
@@ -304,8 +382,8 @@ class TestExitCodes:
         def explode(env, config, until):
             raise UnhandledFailureError(RuntimeError("boom"), "counter")
         monkeypatch.setattr(cli, "counter_scenario", explode)
-        code, _, err = run_cli("run", "--scenario", "counter")
-        assert code == 2
+        code, out, err = run_cli("run", "--scenario", "counter")
+        assert code == 2 and out == ""
         assert "simulation error" in err and "counter" in err
 
 

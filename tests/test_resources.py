@@ -222,6 +222,17 @@ class TestContainer:
             assert str(info.value) == f"{verb} amount must be finite and > 0, got {amount!r}"
         assert bowl.level == 5.0 and not bowl.put_queue and not bowl.get_queue
 
+    def test_put_that_would_overflow_to_inf_stays_queued(self):
+        # With an infinite capacity two finite puts used to raise the level to
+        # inf, after which every get succeeded without lowering it.
+        bowl = Container(Environment(0), init=0.0, capacity=math.inf)
+        first, second = bowl.put(1e308), bowl.put(1e308)
+        assert first.triggered and not second.triggered
+        assert bowl.level == 1e308 and list(bowl.put_queue) == [second]
+        got = bowl.get(1e308)
+        assert got.triggered and second.triggered and bowl.level == 1e308
+        assert bowl.get(1e308).triggered and bowl.level == 0.0
+
     def test_put_when_full_blocks_until_space(self):
         env = Environment(0)
         bowl = Container(env, init=100.0, capacity=100.0)
