@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import IO, Callable, Iterable
+from typing import IO, Iterable
 
 from .kernel import Environment, KernelError
 from .scenarios import VARIANTS, TraceRecord, build_party, counter_scenario
@@ -98,7 +98,7 @@ def _build_parser() -> _Parser:
                      help="emit per-event trace lines for philosopher scenarios")
     run.add_argument("--format", choices=("human", "jsonl"), default="human")
     run.add_argument("--precision", type=int, default=None,
-                     help="decimals for times in human output")
+                     help="decimals for times in human output, 0-20")
     run.add_argument("--output", default=None, help="file path; default stdout")
 
     swp = sub.add_parser("sweep", help="waiting time vs party size, CSV output")
@@ -118,56 +118,49 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _write(path: str | None, stdout: IO[str], render: Callable[[], list[str]]) -> int:
-    """Write the parts ``render()`` returns to stdout, or to ``path``, once it returns.
-
-    ``path`` is checked before the run; a failed run neither replaces nor creates it.
-    """
+def _check_output(path: str | None) -> None:
+    """Reject an ``--output`` that is a directory or cannot be written."""
     if path is not None:
         target = path if os.path.exists(path) else os.path.dirname(path) or os.curdir
         if os.path.isdir(path) or not os.access(target, os.W_OK):
             raise ValueError(f"cannot write --output: no writable file at {path!r}")
-    parts = render()
+
+
+def _write(path: str | None, stdout: IO[str], parts: list[str]) -> None:
+    """Write a command's text parts to stdout, or to ``path``, opened only now."""
     if path is None:
         stdout.writelines(parts)
-        return 0
+        return
     try:
         sink = open(path, "w", encoding="utf-8", newline="\n")
     except OSError as exc:
         raise ValueError(f"cannot write --output: {exc}") from None
     with sink:
         sink.writelines(parts)
-    return 0
 
 
-def _cmd_run(args, stdout: IO[str]) -> int:
+def _cmd_run(args) -> tuple[int, list[str]]:
+    """Run one scenario; return 0 and its text parts: a party's ``--diag`` trace,
+    rendered in chunks as the run goes (:class:`_Spool`), then the report lines."""
     precision = args.precision
     if precision is None:
         # Default time precision in human output: the counter model is
         # traditionally reported at one decimal, the philosopher traces at six.
         precision = 1 if args.scenario == "counter" else 6
-    if precision < 0:
-        raise ValueError("--precision must be >= 0")
-    if args.scenario != "counter":
-        if args.until is None and args.scenario != "classic":
-            # Only a classic party can run out of events (by deadlocking).
-            raise ValueError(f"--until is required for the {args.scenario} "
-                             f"scenario, which never runs to exhaustion")
-        if args.format == "jsonl" and not args.diag:
-            # jsonl carries trace records only, not the report lines.
-            raise ValueError("--format jsonl prints a party's trace, "
-                             "which needs --diag")
-    return _write(args.output, stdout, lambda: _run_scenario(args, precision))
-
-
-def _run_scenario(args, precision: int) -> list[str]:
-    """Run one scenario; return its text parts: a party's ``--diag`` trace,
-    rendered in chunks as the run goes (:class:`_Spool`), then the report lines."""
-    env = Environment(args.seed)
+    if not 0 <= precision <= 20:
+        raise ValueError("--precision must be between 0 and 20")
     if args.scenario == "counter":
         n = 10 if args.n is None else args.n
-        result = counter_scenario(env, n, args.until)
-        return [emit_trace(result.trace, args.format, precision)]
+        result = counter_scenario(Environment(args.seed), n, args.until)
+        return 0, [emit_trace(result.trace, args.format, precision)]
+    if args.until is None and args.scenario != "classic":
+        # Only a classic party can run out of events (by deadlocking).
+        raise ValueError(f"--until is required for the {args.scenario} "
+                         f"scenario, which never runs to exhaustion")
+    if args.format == "jsonl" and not args.diag:
+        # jsonl carries trace records only, not the report lines.
+        raise ValueError("--format jsonl prints a party's trace, which needs --diag")
+    env = Environment(args.seed)
     n = 5 if args.n is None else args.n
     until = CLASSIC_HORIZON if args.until is None else args.until
     spool = _Spool(args.format, precision) if args.diag else None
@@ -182,16 +175,18 @@ def _run_scenario(args, precision: int) -> list[str]:
         else:
             out.append(f"reached horizon at t={outcome.at:.{precision}f}\n")
         out.append(f"mean waiting time {party.mean_waiting:.{precision}f}\n")
-    return out
+    return 0, out
 
 
-def _cmd_sweep(args, stdout: IO[str]) -> int:
+def _cmd_sweep(args) -> tuple[int, list[str]]:
+    """Run a sweep; return 0 and its CSV text."""
     ns = _parse_n_range(args.n)
-    return _write(args.output, stdout, lambda: [to_csv(
-        sweep(args.scenario, ns, args.until, range(args.seeds), workers=args.workers))])
+    return 0, [to_csv(sweep(args.scenario, ns, args.until, range(args.seeds),
+                            workers=args.workers))]
 
 
-def _cmd_validate(args, stdout: IO[str]) -> int:
+def _cmd_validate(args) -> tuple[int, list[str]]:
+    """Run the known-answer checks; return 2 if any failed, and their PASS/FAIL lines."""
     ks = exponential_ks(args.seed, 10.0, 10_000)
     checks = [(
         "exponential draws vs analytic CDF (KS, 1% level)",
@@ -210,25 +205,25 @@ def _cmd_validate(args, stdout: IO[str]) -> int:
             f"observed {observed:.4f} vs expected {expected:.4f} (10% band)",
         ))
 
-    failed = False
-    for name, ok, detail in checks:
-        stdout.write(f"{'PASS' if ok else 'FAIL'}  {name}: {detail}\n")
-        failed = failed or not ok
-    return 2 if failed else 0
+    code = 0 if all(ok for _, ok, _ in checks) else 2
+    return code, [f"{'PASS' if ok else 'FAIL'}  {name}: {detail}\n"
+                  for name, ok, detail in checks]
 
 
 def main(argv: list[str] | None = None, stdout: IO[str] | None = None,
          stderr: IO[str] | None = None) -> int:
+    """Check ``--output`` first, run the command (no I/O), then write its text
+    parts with :func:`_write`; return the command's exit code."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        if args.command == "run":
-            return _cmd_run(args, stdout)
-        if args.command == "sweep":
-            return _cmd_sweep(args, stdout)
-        return _cmd_validate(args, stdout)
+        args = _build_parser().parse_args(argv)
+        path = getattr(args, "output", None)  # validate has no --output
+        _check_output(path)
+        code, parts = {"run": _cmd_run, "sweep": _cmd_sweep,
+                       "validate": _cmd_validate}[args.command](args)
+        _write(path, stdout, parts)
+        return code
     except ValueError as exc:
         # A bad flag, or an argument the library rejects before any event;
         # one raised in a process body surfaces as UnhandledFailureError.

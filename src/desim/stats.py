@@ -11,6 +11,7 @@ resources compose correctly.
 from __future__ import annotations
 
 import math
+import os
 from collections import namedtuple
 from typing import Iterable, NamedTuple
 
@@ -95,7 +96,7 @@ def sweep(variant: str, n_values: Iterable[int], t: float,
     Results are ordered by (n, seed position). Each cell's seed is derived
     from its own coordinates, so a cell rerun alone matches its sweep row and
     cells may run in parallel (``workers`` > 1) without affecting results.
-    No more workers are started than there are cells.
+    No more workers are started than there are cells or CPUs.
     """
     ns = list(n_values)
     bases = list(seeds)
@@ -107,7 +108,7 @@ def sweep(variant: str, n_values: Iterable[int], t: float,
     check_party(variant, *ns)
     cells = [(n, t, variant, derive_seed(base, variant, n))
              for n in ns for base in bases]
-    workers = min(workers, len(cells))
+    workers = min(workers, len(cells), os.cpu_count() or 1)
     if workers > 1:
         from multiprocessing import Pool
 

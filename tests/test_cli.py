@@ -316,6 +316,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("argv", [
         ("run", "--scenario", "counter", "--precision", "-1"),
+        ("run", "--scenario", "counter", "--precision", "21"),
+        ("run", "--scenario", "counter", "--precision", "2000000000"),
         ("run", "--scenario", "counter", "--until", "-1"),
         ("run", "--scenario", "counter", "--n", "0"),
         ("sweep", "--scenario", "ordered", "--n", "1..3"),
@@ -373,6 +375,15 @@ class TestExitCodes:
         assert err.startswith("usage error: ") and err.count("\n") == 1
         assert not target.parent.exists()
 
+    def test_output_is_checked_before_the_command_flags(self, tmp_path):
+        # Both --output and the missing --until are bad: --output is named.
+        target = tmp_path / "missing" / "out.txt"
+        code, out, err = run_cli("run", "--scenario", "ordered", "--n", "3",
+                                 "--output", str(target))
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: cannot write --output")
+        assert not target.parent.exists()
+
     def test_missing_command_is_usage_error(self):
         code, _, err = run_cli()
         assert code == 1
@@ -415,3 +426,13 @@ class TestValidateCommand:
         lines = out.splitlines()
         assert len(lines) == 3
         assert all(l.startswith("PASS") for l in lines)
+
+    def test_failed_check_exits_2_with_its_fail_line(self, monkeypatch):
+        import desim.cli as cli
+        monkeypatch.setattr(cli, "exponential_ks", lambda *args: 1.0)
+        code, out, err = run_cli("validate", "--customers", "20000")
+        assert code == 2 and err == ""
+        lines = out.splitlines()
+        assert len(lines) == 3
+        assert lines[0].startswith("FAIL")
+        assert all(l.startswith("PASS") for l in lines[1:])

@@ -1,6 +1,7 @@
 """Seeded randomness, sweep harness, CSV round-trip, and the M/M/1 oracle."""
 
 import math
+import os
 import pickle
 
 import pytest
@@ -206,11 +207,28 @@ class TestSweep:
                 return [fn(cell) for cell in cells]
 
         monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)  # only the cell cap binds
         one = sweep("ordered", [2], 100.0, [0], workers=64)
         two = sweep("ordered", [2, 3], 100.0, [0], workers=64)
         assert sizes == [2]
         assert one == sweep("ordered", [2], 100.0, [0])
         assert two == sweep("ordered", [2, 3], 100.0, [0])
+
+    def test_pool_never_exceeds_the_cpu_count(self, monkeypatch):
+        import multiprocessing
+
+        sizes = []
+
+        class NoPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+                raise RuntimeError("no pool in this test")
+
+        monkeypatch.setattr(multiprocessing, "Pool", NoPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(RuntimeError, match="no pool"):
+            sweep("ordered", range(2, 600), 10.0, range(10), workers=5000)
+        assert sizes == [2]
 
 
 class TestCsv:
