@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 1 usage error (a ValueError: a bad flag, or an
 argument the library rejects before any event is processed), 2 kernel contract
-error (e.g. an unhandled process failure). Deadlock of the classic party is a
-normal, expected outcome and exits 0 with a report line.
+error (e.g. an unhandled process failure) or out of memory. Deadlock of the
+classic party is a normal, expected outcome and exits 0 with a report line.
 """
 
 from __future__ import annotations
@@ -15,8 +15,6 @@ from typing import IO, Iterable
 
 from .kernel import Environment, KernelError
 from .scenarios import VARIANTS, TraceRecord, build_party, counter_scenario
-from .stats import (MM1Params, exponential_ks, mm1_expected_wait, mm1_simulate,
-                    sweep, to_csv)
 
 __all__ = ["main", "emit_trace"]
 
@@ -72,13 +70,15 @@ class _Spool:
 
 def _parse_n_range(text: str) -> list[int]:
     """Accept '5' or an inclusive range 'A..B'."""
-    if ".." in text:
-        lo_text, _, hi_text = text.partition("..")
-        lo, hi = int(lo_text), int(hi_text)
-        if hi < lo:
-            raise ValueError(f"empty range {text!r}")
-        return list(range(lo, hi + 1))
-    return [int(text)]
+    lo_text, dots, hi_text = text.partition("..")
+    try:
+        lo, hi = int(lo_text), int(hi_text if dots else lo_text)
+    except ValueError:
+        raise ValueError(f"--n must be an integer or a range 'A..B', "
+                         f"got {text!r}") from None
+    if hi < lo:
+        raise ValueError(f"empty range {text!r}")
+    return list(range(lo, hi + 1))
 
 
 def _build_parser() -> _Parser:
@@ -179,14 +179,18 @@ def _cmd_run(args) -> tuple[int, list[str]]:
 
 
 def _cmd_sweep(args) -> tuple[int, list[str]]:
-    """Run a sweep; return 0 and its CSV text."""
+    """Run a sweep; return 0 and its CSV text. Loads :mod:`desim.stats`, and
+    through it the party model, only now: ``desim run`` needs neither."""
+    from .stats import sweep, to_csv
     ns = _parse_n_range(args.n)
     return 0, [to_csv(sweep(args.scenario, ns, args.until, range(args.seeds),
                             workers=args.workers))]
 
 
 def _cmd_validate(args) -> tuple[int, list[str]]:
-    """Run the known-answer checks; return 2 if any failed, and their PASS/FAIL lines."""
+    """Run the known-answer checks; return 2 if any failed, and their PASS/FAIL lines.
+    Loads :mod:`desim.stats` only now, and never the party model."""
+    from .stats import MM1Params, exponential_ks, mm1_expected_wait, mm1_simulate
     ks = exponential_ks(args.seed, 10.0, 10_000)
     checks = [(
         "exponential draws vs analytic CDF (KS, 1% level)",
@@ -213,7 +217,8 @@ def _cmd_validate(args) -> tuple[int, list[str]]:
 def main(argv: list[str] | None = None, stdout: IO[str] | None = None,
          stderr: IO[str] | None = None) -> int:
     """Check ``--output`` first, run the command (no I/O), then write its text
-    parts with :func:`_write`; return the command's exit code."""
+    parts with :func:`_write`; return the command's exit code: 1 for a usage
+    error, 2 for a kernel contract error or when memory runs out."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
@@ -232,6 +237,10 @@ def main(argv: list[str] | None = None, stdout: IO[str] | None = None,
     except KernelError as exc:
         stderr.write(f"simulation error: {exc}\n")
         return 2
+    except MemoryError:
+        pass  # reported below, once the failed run's frames have been freed
+    stderr.write("simulation error: out of memory\n")
+    return 2
 
 
 if __name__ == "__main__":

@@ -19,7 +19,6 @@ from .kernel import Environment
 from .process import spawn
 from .resources import Resource
 from .rng import Rng
-from .scenarios import build_party, check_party
 
 __all__ = [
     "SweepResult",
@@ -64,6 +63,7 @@ def _check_horizon(t: float) -> None:
 
 def simulate(n: int, t: float, variant: str = "ordered", seed: int = 0) -> SweepResult:
     """Run one fresh party for up to ``t`` time units and aggregate waiting."""
+    from .scenarios import build_party  # here, not at the top: M/M/1 needs no party
     _check_horizon(t)
     env = Environment(seed)
     party = build_party(env, n, variant)
@@ -104,6 +104,7 @@ def sweep(variant: str, n_values: Iterable[int], t: float,
         raise ValueError("sweep needs at least one party size and one seed")
     if not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    from .scenarios import check_party
     _check_horizon(t)
     check_party(variant, *ns)
     cells = [(n, t, variant, derive_seed(base, variant, n))

@@ -310,6 +310,12 @@ class TestExitCodes:
         code, _, err = run_cli("sweep", "--scenario", "ordered", "--n", "9..2")
         assert code == 1 and "usage error" in err
 
+    @pytest.mark.parametrize("n", ["2..", "..3", "x", "2..x"])
+    def test_malformed_sweep_n_names_the_flag(self, n):
+        code, out, err = run_cli("sweep", "--scenario", "ordered", "--n", n)
+        assert code == 1 and out == ""
+        assert err == f"usage error: --n must be an integer or a range 'A..B', got {n!r}\n"
+
     def test_zero_seeds_is_usage_error(self):
         code, _, err = run_cli("sweep", "--scenario", "ordered", "--seeds", "0")
         assert code == 1
@@ -368,7 +374,7 @@ class TestExitCodes:
         def must_not_run(*args, **kwargs):
             raise AssertionError("simulated before opening --output")
         monkeypatch.setattr(cli, "counter_scenario", must_not_run)
-        monkeypatch.setattr(cli, "sweep", must_not_run)
+        monkeypatch.setattr("desim.stats.sweep", must_not_run)
         target = tmp_path / "missing" / "out.txt"
         code, out, err = run_cli(*argv, "--output", str(target))
         assert code == 1 and out == ""
@@ -396,6 +402,25 @@ class TestExitCodes:
         code, out, err = run_cli("run", "--scenario", "counter")
         assert code == 2 and out == ""
         assert "simulation error" in err and "counter" in err
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+def test_out_of_memory_is_one_line_and_exit_2(tmp_path):
+    # The child caps its own address space; the test process allocates nothing big.
+    target = tmp_path / "out.txt"
+    script = "\n".join([
+        "import resource, sys",
+        "resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))",
+        "from desim.cli import main",
+        "sys.exit(main(['run', '--scenario', 'counter', '--n', '20000000',",
+        f"             '--output', {str(target)!r}]))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert proc.stderr == "simulation error: out of memory\n"
+    assert not target.exists()
 
 
 def run_module(*argv):
@@ -428,8 +453,7 @@ class TestValidateCommand:
         assert all(l.startswith("PASS") for l in lines)
 
     def test_failed_check_exits_2_with_its_fail_line(self, monkeypatch):
-        import desim.cli as cli
-        monkeypatch.setattr(cli, "exponential_ks", lambda *args: 1.0)
+        monkeypatch.setattr("desim.stats.exponential_ks", lambda *args: 1.0)
         code, out, err = run_cli("validate", "--customers", "20000")
         assert code == 2 and err == ""
         lines = out.splitlines()

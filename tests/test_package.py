@@ -48,3 +48,23 @@ def test_importing_the_package_loads_no_stdlib_module_it_does_not_use():
         "2920268671547522315",
         '{"time": 1.5, "actor": "P0", "message": "gave up"}',
     ]
+
+
+def test_each_entry_point_loads_only_the_layers_it_runs():
+    """``desim.stats`` loads the party model only for a party run, and
+    ``desim run`` never loads ``desim.stats``; each in a fresh interpreter."""
+    src = os.path.dirname(os.path.dirname(desim.__file__))
+    scripts = [
+        "import desim.stats",
+        "import io, desim.cli\n"
+        "assert desim.cli.main(['run', '--scenario', 'counter', '--n', '2'],"
+        " io.StringIO()) == 0",
+    ]
+    for script, unused in zip(scripts, ("desim.scenarios", "desim.stats")):
+        done = subprocess.run(
+            [sys.executable, "-S", "-c",
+             f"import sys\nsys.path.insert(0, {src!r})\n{script}\n"
+             f"print({unused!r} in sys.modules)"],
+            capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "False\n", unused

@@ -3,6 +3,9 @@
 import math
 import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -144,6 +147,25 @@ class TestSweep:
         serial = sweep("ordered", [2, 3], 600.0, [0, 1])
         parallel = sweep("ordered", [2, 3], 600.0, [0, 1], workers=2)
         assert serial == parallel
+
+    def test_spawn_workers_import_the_party_model_themselves(self):
+        # A spawned worker imports desim.stats afresh, and that import does
+        # not load desim.scenarios: simulate must import it in the worker.
+        script = "\n".join([
+            "import multiprocessing, os",
+            "from desim.stats import sweep, to_csv",
+            "if __name__ == '__main__':",
+            "    multiprocessing.set_start_method('spawn')",
+            "    os.cpu_count = lambda: 2",
+            "    args = ('ordered', [2, 3], 100.0, [0])",
+            "    serial = to_csv(sweep(*args, workers=1))",
+            "    print(to_csv(sweep(*args, workers=2)) == serial, end='')",
+        ])
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+        done = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == "True"
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
