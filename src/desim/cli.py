@@ -1,9 +1,11 @@
 """Command line front end: run scenarios, sweep waiting times, validate.
 
 Exit codes: 0 success, 1 usage error (a ValueError: a bad flag, or an
-argument the library rejects before any event is processed), 2 kernel contract
-error (e.g. an unhandled process failure) or out of memory. Deadlock of the
-classic party is a normal, expected outcome and exits 0 with a report line.
+argument the library rejects before any event is processed) or output that
+cannot be written (``--output`` on a full disk, or a stdout whose reader has
+gone, as in ``| head``), 2 kernel contract error (e.g. an unhandled process
+failure) or out of memory. Deadlock of the classic party is a normal, expected
+outcome and exits 0 with a report line.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import sys
 from typing import IO, Iterable
 
 from .kernel import Environment, KernelError
-from .scenarios import VARIANTS, TraceRecord, build_party, counter_scenario
+from .scenarios import VARIANTS, build_party, counter_scenario
 
 __all__ = ["main", "emit_trace"]
 
@@ -32,40 +34,47 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def emit_trace(records: Iterable[TraceRecord], fmt: str = "human",
+def emit_trace(records: Iterable[tuple[float, str, str]], fmt: str = "human",
                precision: int = 6) -> str:
-    """Render trace records, one per line; empty input yields empty output."""
+    """Render ``(time, actor, message)`` records, ``TraceRecord``s or plain
+    tuples, one per line; empty input yields empty output."""
     if fmt == "human":
         line = f"%s %s @%.{precision}f\n"  # one format: the bytes of {time:.{p}f}
         return "".join([line % (actor, message, time)
                         for time, actor, message in records])
     if fmt == "jsonl":
         import json  # here, not at the top: only jsonl output needs it
-        return "".join(json.dumps({"time": r.time, "actor": r.actor,
-                                   "message": r.message}) + "\n"
-                       for r in records)
+        return "".join(json.dumps({"time": time, "actor": actor,
+                                   "message": message}) + "\n"
+                       for time, actor, message in records)
     raise ValueError(f"unknown trace format {fmt!r}")
 
 
 class _Spool:
-    """``--diag`` trace sink: renders every ``CHUNK`` records, keeps only the text."""
+    """``--diag`` trace: :meth:`emit` is a party's sink. It keeps plain tuples
+    and renders every ``CHUNK`` of them, so it holds the text and one chunk."""
 
     CHUNK = 4096
 
     def __init__(self, fmt: str, precision: int):
         self.fmt, self.precision = fmt, precision
-        self.records, self.parts = [], []  # TraceRecords held; text rendered
+        self.records, self.parts = [], []  # tuples held; text rendered
 
-    def append(self, record: TraceRecord) -> None:
-        self.records.append(record)
-        if len(self.records) >= self.CHUNK:
-            self.flush()
+    def emit(self, time: float, actor: str, message: str) -> None:
+        records = self.records
+        records.append((time, actor, message))
+        if len(records) >= self.CHUNK:
+            self.parts.append(emit_trace(records, self.fmt, self.precision))
+            self.records = []
 
-    def flush(self) -> list[str]:
-        """Render the records still held; return every part rendered so far."""
-        self.parts.append(emit_trace(self.records, self.fmt, self.precision))
+    def take(self) -> list[str]:
+        """Render the records still held and hand over all the text, keeping
+        none: a party stopped at its horizon is a reference cycle that reaches
+        the spool, so what it holds lives until a full collection."""
+        parts, self.parts = self.parts, []
+        parts.append(emit_trace(self.records, self.fmt, self.precision))
         self.records = []
-        return self.parts
+        return parts
 
 
 def _parse_n_range(text: str) -> list[int]:
@@ -127,21 +136,24 @@ def _check_output(path: str | None) -> None:
 
 
 def _write(path: str | None, stdout: IO[str], parts: list[str]) -> None:
-    """Write a command's text parts to stdout, or to ``path``, opened only now."""
+    """Write a command's text parts to stdout, or to ``path``, opened only now.
+    Failing to open, write or close ``path`` is a ValueError; stdout is flushed,
+    so that its write errors are raised here, not at interpreter exit."""
     if path is None:
         stdout.writelines(parts)
+        stdout.flush()
         return
     try:
-        sink = open(path, "w", encoding="utf-8", newline="\n")
+        with open(path, "w", encoding="utf-8", newline="\n") as sink:
+            sink.writelines(parts)
     except OSError as exc:
         raise ValueError(f"cannot write --output: {exc}") from None
-    with sink:
-        sink.writelines(parts)
 
 
 def _cmd_run(args) -> tuple[int, list[str]]:
     """Run one scenario; return 0 and its text parts: a party's ``--diag`` trace,
-    rendered in chunks as the run goes (:class:`_Spool`), then the report lines."""
+    rendered in chunks as the run goes (:class:`_Spool`), then the report lines.
+    The spool hands its text over and holds none of it."""
     precision = args.precision
     if precision is None:
         # Default time precision in human output: the counter model is
@@ -164,9 +176,10 @@ def _cmd_run(args) -> tuple[int, list[str]]:
     n = 5 if args.n is None else args.n
     until = CLASSIC_HORIZON if args.until is None else args.until
     spool = _Spool(args.format, precision) if args.diag else None
-    party = build_party(env, n, args.scenario, trace=spool)
+    party = build_party(env, n, args.scenario,
+                        trace=spool.emit if spool is not None else None)
     outcome = env.run(until)
-    out = spool.flush() if spool is not None else []
+    out = spool.take() if spool is not None else []
     if args.format == "human":
         counts = [c.count for c in party.chopsticks]
         if outcome.exhausted:
@@ -218,7 +231,8 @@ def main(argv: list[str] | None = None, stdout: IO[str] | None = None,
          stderr: IO[str] | None = None) -> int:
     """Check ``--output`` first, run the command (no I/O), then write its text
     parts with :func:`_write`; return the command's exit code: 1 for a usage
-    error, 2 for a kernel contract error or when memory runs out."""
+    error or output that cannot be written, 2 for a kernel contract error or
+    when memory runs out. A stdout whose reader has gone exits 1 in silence."""
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
     try:
@@ -227,7 +241,18 @@ def main(argv: list[str] | None = None, stdout: IO[str] | None = None,
         _check_output(path)
         code, parts = {"run": _cmd_run, "sweep": _cmd_sweep,
                        "validate": _cmd_validate}[args.command](args)
-        _write(path, stdout, parts)
+        try:
+            _write(path, stdout, parts)
+        except OSError as exc:  # from stdout: _write reports --output itself
+            if stdout is sys.stdout:
+                # Point the descriptor at devnull, so that the flush of what
+                # stdout still buffers at interpreter exit cannot fail again.
+                devnull = os.open(os.devnull, os.O_WRONLY)
+                os.dup2(devnull, stdout.fileno())
+                os.close(devnull)
+            if isinstance(exc, BrokenPipeError):
+                return 1  # the reader has gone (``| head``): nothing to say
+            raise ValueError(f"cannot write stdout: {exc}") from None
         return code
     except ValueError as exc:
         # A bad flag, or an argument the library rejects before any event;

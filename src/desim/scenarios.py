@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import deque
 from enum import Enum
 from types import SimpleNamespace
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .kernel import Environment, Event, RunOutcome, any_of
 from .process import Interrupted, Process, spawn
@@ -107,14 +107,16 @@ class Philosopher:
     and a diner has a bowl exactly when its variant eats rice.
 
     Instruments itself with the accumulated ``waiting`` time between wanting
-    to eat and having everything needed to eat, the meal/give-up counters,
-    its current ``state`` and (optionally) trace records.
+    to eat and having everything needed to eat, the meal/give-up counters
+    and its current ``state``. ``trace`` is a sink called as
+    ``trace(time, actor, message)`` at each step of the cycle, or ``None``,
+    in which case the diner makes no trace call at all.
     """
 
     def __init__(self, env: Environment, chopsticks, my_id: int,
                  variant: str = "classic",
                  bowl: Container | None = None,
-                 trace: list[TraceRecord] | None = None):
+                 trace: Callable[[float, str, str], object] | None = None):
         check_party(variant)
         pair = tuple(chopsticks)
         if len(pair) != 2 or pair[0] is pair[1]:
@@ -138,31 +140,31 @@ class Philosopher:
         self._label = f"P{my_id}"
         spawn(env, self._run(), name=f"philosopher-{my_id}")
 
-    def _diag(self, message: str) -> None:
-        trace = self._trace
-        if trace is not None:
-            trace.append(TraceRecord(self.env.now, self._label, message))
-
     def _run(self):
         env = self.env
         rng = env.rng
         first, second = self.chopsticks
+        emit, label = self._trace, self._label
         bowl = self.bowl
         impatient = self.variant == "impatient"
         while True:
             yield env.timeout(rng.expovariate_mean(THINK_MEAN))
             self.state = PhilosopherState.HUNGRY
             start_waiting = env.now
-            self._diag("requested chopstick")
+            if emit is not None:
+                emit(env.now, label, "requested chopstick")
             rq1 = first.request()
             yield rq1
             self.state = PhilosopherState.HUNGRY_WITH_ONE
-            self._diag("obtained chopstick")
+            if emit is not None:
+                emit(env.now, label, "obtained chopstick")
             yield env.timeout(SECOND_PICK_DELAY)
-            self._diag("requested another chopstick")
+            if emit is not None:
+                emit(env.now, label, "requested another chopstick")
             rq2 = second.request()
             yield rq2
-            self._diag("obtained another chopstick")
+            if emit is not None:
+                emit(env.now, label, "obtained another chopstick")
             fed = True
             if bowl is not None:
                 request = bowl.get(self.meal_size)
@@ -173,10 +175,12 @@ class Philosopher:
                 else:
                     yield request
                 if fed:
-                    self._diag("reserved food")
+                    if emit is not None:
+                        emit(env.now, label, "reserved food")
                     self.rice_consumed += self.meal_size
                 else:
-                    self._diag("gave up")
+                    if emit is not None:
+                        emit(env.now, label, "gave up")
                     # The abandoned withdrawal must not drain stock later.
                     bowl.cancel_get(request)
             self.waiting += env.now - start_waiting
@@ -193,7 +197,8 @@ class Philosopher:
             self.state = PhilosopherState.THINKING
             first.release(rq1)
             second.release(rq2)
-            self._diag("released the chopsticks")
+            if emit is not None:
+                emit(env.now, label, "released the chopsticks")
 
 
 class Chef:
@@ -235,12 +240,13 @@ class Party(NamedTuple):
 
 
 def build_party(env: Environment, n: int, variant: str,
-                trace: list[TraceRecord] | None = None) -> Party:
+                trace: Callable[[float, str, str], object] | None = None) -> Party:
     """Wire ``n`` philosophers and chopsticks in a ring for one variant.
 
     Philosopher ``i`` is handed chopsticks ``i`` and ``(i+1) mod n``: in that
     order if classic, else lower index first, so no cycle of waits can form
     (Dijkstra's resource hierarchy). Rice variants add a full bowl and a chef.
+    Every diner reports to the one ``trace`` sink (see :class:`Philosopher`).
     """
     check_party(variant, n)
     bowl = chef = None

@@ -429,6 +429,65 @@ def run_module(*argv):
                           capture_output=True, text=True, timeout=60)
 
 
+def src_env():
+    return dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+
+
+# A --diag run whose text (1.4 MB) is far larger than a pipe's buffer.
+BIG_DIAG = ("run", "--scenario", "impatient", "--n", "12", "--until", "20000", "--diag")
+
+
+class TestWriteFailure:
+    """A write that fails after the run is one stderr line and exit 1, never a
+    traceback, whether from ``main`` or from the interpreter's exit flush."""
+
+    def test_stdout_reader_that_has_gone_exits_1_in_silence(self):
+        proc = subprocess.Popen([sys.executable, "-m", "desim", *BIG_DIAG],
+                                env=src_env(), stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE)
+        first = proc.stdout.readline()  # as ``| head -1`` does, then hang up
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert first.startswith(b"P") and err == b""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("where", ["--output", "stdout"])
+    def test_full_device_is_one_line_and_exit_1(self, where):
+        argv = BIG_DIAG + (("--output", "/dev/full") if where == "--output" else ())
+        with open("/dev/full", "w") as full:
+            proc = subprocess.run([sys.executable, "-m", "desim", *argv], env=src_env(),
+                                  stdout=full if where == "stdout" else subprocess.PIPE,
+                                  stderr=subprocess.PIPE, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == (f"usage error: cannot write {where}: "
+                               f"[Errno 28] No space left on device\n")
+
+
+def test_rendered_text_does_not_outlive_main(tmp_path):
+    # A party stopped at its horizon is a reference cycle that reaches the
+    # trace sink, so only a full collection frees what the sink still holds.
+    # With the collector off, what cli.py allocated and is still alive after
+    # main returns must be far less than the text it wrote.
+    target = tmp_path / "diag.txt"
+    script = "\n".join([
+        "import gc, tracemalloc",
+        "from desim.cli import main",
+        "gc.disable()",
+        "tracemalloc.start()",
+        f"code = main([*{BIG_DIAG!r}, '--output', {str(target)!r}])",
+        "live = tracemalloc.take_snapshot().filter_traces(",
+        f"    [tracemalloc.Filter(True, {os.path.join('*desim', 'cli.py')!r})])",
+        "print(code, sum(stat.size for stat in live.statistics('filename')))",
+    ])
+    proc = subprocess.run([sys.executable, "-c", script], env=src_env(),
+                          capture_output=True, text=True, timeout=300)
+    code, live = map(int, proc.stdout.split())
+    assert code == 0 and proc.stderr == ""
+    assert live < target.stat().st_size / 4
+
+
 class TestModuleEntryPoints:
     def test_cli_module_runs_main(self):
         proc = run_module("desim.cli", "sweep", "--scenario", "ordered", "--n", "2",

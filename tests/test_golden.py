@@ -47,6 +47,11 @@ GOLDENS = [
              "--until", "5000", "--diag"),
             "17adbe99a0299785bff2c85d39205676dcd9ed3006f7f11c1866f28ad39f6ef6",
             id_words=5),
+    # The only golden of a party's jsonl trace (8,859 lines).
+    _golden(("run", "--scenario", "impatient", "--n", "12", "--seed", "99",
+             "--until", "5000", "--diag", "--format", "jsonl"),
+            "9ba8f7538edc548b504dbe5a957a54294714cd13d1e50f78453a8d2de0a08902",
+            id_words=12),
 ]
 
 # to_csv of each acceptance sweep (n=2..20, 10 seeds, t=5e4; 190 rows each).

@@ -1,5 +1,6 @@
 """Party variants and the service counter against hand-traced expectations."""
 
+import io
 import pickle
 
 import pytest
@@ -15,6 +16,7 @@ from desim.scenarios import (
     Party,
     Philosopher,
     PhilosopherState,
+    TraceRecord,
     build_party,
     counter_scenario,
     detect_deadlock,
@@ -41,6 +43,13 @@ def watch_transitions(env, diners):
     return logs
 
 
+def collecting_sink():
+    """A ``trace`` sink that keeps each call as a ``TraceRecord``, and its list."""
+    trace = []
+    return trace, lambda time, actor, message: trace.append(
+        TraceRecord(time, actor, message))
+
+
 def make_solo_philosopher(env, **kwargs):
     """A diner with two chopsticks of their own: every grant is instant."""
     chopsticks = (Resource(env, 1), Resource(env, 1))
@@ -50,8 +59,8 @@ def make_solo_philosopher(env, **kwargs):
 class TestPhilosopher:
     def test_uncontended_waiting_is_exactly_the_pickup_pause_per_meal(self):
         env = Environment(3)
-        trace = []
-        ph = make_solo_philosopher(env, trace=trace)
+        trace, sink = collecting_sink()
+        ph = make_solo_philosopher(env, trace=sink)
         env.run(until=500.0)
         assert ph.meals > 0
         # Independent oracle from the trace: each attempt waits from its
@@ -69,8 +78,8 @@ class TestPhilosopher:
 
     def test_trace_message_sequence_for_one_meal(self):
         env = Environment(3)
-        trace = []
-        make_solo_philosopher(env, trace=trace)
+        trace, sink = collecting_sink()
+        make_solo_philosopher(env, trace=sink)
         env.run(until=60.0)
         messages = [r.message for r in trace[:6]]
         assert messages == [
@@ -232,9 +241,9 @@ class TestBuildParty:
 class TestBowlAndChef:
     def test_first_meal_reserves_food(self):
         env = Environment(3)
-        trace = []
+        trace, sink = collecting_sink()
         bowl = Container(env, init=1000.0, capacity=1000.0)
-        make_solo_philosopher(env, variant="bowl", bowl=bowl, trace=trace)
+        make_solo_philosopher(env, variant="bowl", bowl=bowl, trace=sink)
         env.run(until=30.0)
         assert "reserved food" in [r.message for r in trace]
         assert bowl.level <= 980.0
@@ -286,13 +295,13 @@ class TestBowlAndChef:
 class TestImpatient:
     def test_give_up_after_max_wait_with_starved_bowl(self):
         env = Environment(2)
-        trace = []
+        trace, sink = collecting_sink()
         bowl = Container(env, init=0.0, capacity=1000.0)  # chef never spawned
         ph = make_solo_philosopher(
             env,
             variant="impatient",
             bowl=bowl,
-            trace=trace,
+            trace=sink,
         )
         env.run(until=1000.0)
         gave_ups = [r for r in trace if r.message == "gave up"]
@@ -348,14 +357,14 @@ class TestImpatient:
 
     def test_meal_size_resets_after_success(self):
         env = Environment(4)
-        trace = []
+        trace, sink = collecting_sink()
         bowl = Container(env, init=0.0, capacity=1000.0)
         Chef(env, bowl)
         ph = make_solo_philosopher(
             env,
             variant="impatient",
             bowl=bowl,
-            trace=trace,
+            trace=sink,
         )
         env.run(until=3000.0)
         assert ph.total_give_ups >= 1, "expected an initial give-up on the empty bowl"
@@ -392,6 +401,32 @@ class TestImpatient:
         env.run(until=20000.0)
         for ph in party.philosophers:
             assert ph.meal_size == 20.0 * (1 + ph.give_ups)
+
+
+class TestTraceSink:
+    """``build_party``'s ``trace`` is called as ``emit(time, actor, message)``."""
+
+    @staticmethod
+    def run_party(trace):
+        env = Environment(99)
+        processed = []
+        env.on_processed = processed.append
+        party = build_party(env, 12, "impatient", trace=trace)
+        env.run(until=5000.0)
+        return party.mean_waiting, env.now, len(processed)
+
+    def test_calls_render_the_diag_output_and_leave_the_run_unchanged(self):
+        from desim.cli import emit_trace, main
+        calls = []
+        traced = self.run_party(lambda *args: calls.append(args))
+        assert all(len(call) == 3 and tuple(map(type, call)) == (float, str, str)
+                   for call in calls)
+        out = io.StringIO()
+        assert main(["run", "--scenario", "impatient", "--n", "12", "--seed", "99",
+                     "--until", "5000", "--diag"], stdout=out) == 0
+        assert emit_trace(calls) == "".join(out.getvalue().splitlines(True)[:-2])
+        # Tracing does not perturb the model.
+        assert traced == self.run_party(None)
 
 
 class TestInlineMealAttempt:
