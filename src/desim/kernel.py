@@ -36,6 +36,8 @@ __all__ = [
 URGENT = 0
 NORMAL = 1
 
+_INF = math.inf
+
 
 class KernelError(Exception):
     """Base class for simulation contract violations."""
@@ -215,7 +217,7 @@ class Environment:
             raise LifecycleError(f"cannot schedule {event!r}: not pending")
         if event.env is not self:
             raise LifecycleError(f"{event!r} belongs to a different environment")
-        if not (delay >= 0.0 and math.isfinite(delay)):
+        if not 0.0 <= delay < _INF:  # also rejects NaN
             raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
         time = self._now + delay
         event._sched_time = time
@@ -240,9 +242,7 @@ class Environment:
         """
         if not self._queue:
             return False
-        entry = heappop(self._queue)
-        event = entry[3]
-        self._now = entry[0]
+        self._now, _, _, event = heappop(self._queue)
         callbacks = event.callbacks
         event.callbacks = None
         error = None
@@ -269,11 +269,12 @@ class Environment:
         exhaustion with the clock at the last processed time.
         """
         queue = self._queue
+        step = self.step  # read once, so an instance override is honoured
         horizon = math.inf if until is None else float(until)
         if until is not None and not (math.isfinite(horizon) and horizon >= self._now):
             raise ValueError(f"until must be finite and >= now, got {until!r}")
         while queue and queue[0][0] <= horizon:
-            self.step()
+            step()
         if not queue and self._now < horizon:
             return RunOutcome(exhausted=True, at=self._now)
         self._now = horizon

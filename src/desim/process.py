@@ -11,6 +11,7 @@ directly.
 
 from __future__ import annotations
 
+from types import GeneratorType
 from typing import Any, Generator
 
 from .kernel import URGENT, Environment, Event, LifecycleError
@@ -38,13 +39,17 @@ class Process(Event):
 
     def __init__(self, env: Environment, body: Generator[Event, Any, Any],
                  name: str | None = None):
-        if not hasattr(body, "send") or not hasattr(body, "throw"):
+        if type(body) is not GeneratorType and not (
+                hasattr(body, "send") and hasattr(body, "throw")):
             raise TypeError(f"process body must be a generator, got {body!r}")
-        super().__init__(env)
+        Event.__init__(self, env)
         self.name = name or getattr(body, "__name__", None) or f"process-{self.eid}"
         self._body = body
-        # The start is the first event the process waits for.
-        self._awaiting: Event = self._wake(None)
+        # The start is the first event the process waits for: an urgent success now.
+        start = Event(env)
+        start.callbacks.append(self._resume)
+        env.schedule(start, URGENT, 0.0)
+        self._awaiting: Event = start
 
     @property
     def alive(self) -> bool:
@@ -70,15 +75,14 @@ class Process(Event):
 
     # -- internals ------------------------------------------------------
 
-    def _wake(self, interrupt: Interrupted | None) -> Event:
-        """Queue an urgent resume now: the start, or an interrupt's delivery."""
+    def _wake(self, interrupt: Interrupted) -> None:
+        """Queue an urgent resume now that delivers ``interrupt``."""
         wake = Event(self.env)
-        wake._ok = interrupt is None
+        wake._ok = False
         wake._value = interrupt
         wake._observed = True  # an interrupt is never an unhandled failure
         wake.callbacks.append(self._resume)
         self.env.schedule(wake, URGENT, 0.0)
-        return wake
 
     def _resume(self, event: Event) -> None:
         """Run the body from its yield point with ``event``'s outcome."""
@@ -114,8 +118,9 @@ class Process(Event):
                 self._observed = True  # raised right here, out of env.run
                 self.fail(error)
                 raise error
-            if target.callbacks is not None:
-                target.callbacks.append(self._resume)
+            callbacks = target.callbacks
+            if callbacks is not None:
+                callbacks.append(self._resume)
                 self._awaiting = target
                 return
             # Already settled: continue in place without suspending.

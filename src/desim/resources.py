@@ -71,9 +71,11 @@ class Resource:
         """
         if rq.resource is not self:
             raise LifecycleError("request belongs to a different resource")
-        if rq not in self.users:
-            raise LifecycleError("release of an ungranted or already-released request")
-        self.users.remove(rq)
+        try:
+            self.users.remove(rq)
+        except ValueError:
+            raise LifecycleError(
+                "release of an ungranted or already-released request") from None
         if self.wait_queue:
             self._grant(self.wait_queue.popleft())
 
@@ -89,9 +91,10 @@ class Resource:
             raise LifecycleError("cancel of an unknown or already-cancelled request")
         self.wait_queue.remove(rq)
 
-    def _grant(self, rq: Request) -> None:
+    def _grant(self, rq: Request) -> None:  # as rq.succeed(rq), without the call
         self.users.append(rq)
-        rq.succeed(rq)
+        self.env.schedule(rq)
+        rq._value = rq
 
     def __repr__(self) -> str:
         return (f"<Resource capacity={self.capacity} count={len(self.users)} "

@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-import math
 import random
+from math import inf as _INF, log as _log
 
 __all__ = ["Rng"]
 
@@ -36,12 +36,12 @@ class Rng:
         Always returns a strictly positive, finite value: the underlying
         uniform draw is rejected when it is exactly zero.
         """
-        if not (mean > 0.0 and math.isfinite(mean)):
+        if not 0.0 < mean < _INF:  # also rejects NaN
             raise ValueError(f"mean must be positive and finite, got {mean!r}")
         u = self._mt.random()
         while u <= 0.0:
             u = self._mt.random()
-        return -mean * math.log(u)
+        return -mean * _log(u)
 
     def randint(self, a: int, b: int) -> int:
         """Uniform integer in [a, b], both ends inclusive."""

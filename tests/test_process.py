@@ -42,6 +42,32 @@ class TestSpawn:
         with pytest.raises(TypeError):
             spawn(env, lambda: None)
 
+    def test_body_with_send_and_throw_is_accepted(self):
+        env = Environment(0)
+        class Delegating:
+            def __init__(self, gen):
+                self._gen = gen
+            def send(self, value):
+                return self._gen.send(value)
+            def throw(self, exc):
+                return self._gen.throw(exc)
+        def body():
+            yield env.timeout(2.0)
+            return "done"
+        handle = spawn(env, Delegating(body()))
+        env.run()
+        assert handle.succeeded and handle.value == "done"
+        assert env.now == 2.0
+
+    def test_body_with_send_but_no_throw_is_rejected(self):
+        env = Environment(0)
+        class SendOnly:
+            def send(self, value):
+                raise StopIteration
+        with pytest.raises(TypeError, match="must be a generator"):
+            spawn(env, SendOnly())
+        assert env.step() is False  # nothing was queued
+
     def test_repr_shows_name_id_and_stage(self):
         env = Environment(0)
         def body():

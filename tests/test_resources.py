@@ -2,6 +2,7 @@
 
 import math
 import random
+import traceback
 
 import pytest
 
@@ -104,6 +105,28 @@ class TestResource:
         queued = res.request()
         with pytest.raises(LifecycleError):
             res.release(queued)
+
+    @pytest.mark.parametrize("case, message", [
+        ("double", "ungranted or already-released"),
+        ("queued", "ungranted or already-released"),
+        ("foreign", "different resource"),
+    ])
+    def test_release_error_keeps_message_state_and_no_chained_error(self, case, message):
+        env = Environment(0)
+        res = Resource(env, capacity=1)
+        released = res.request()
+        res.release(released)
+        holder = res.request()
+        queued = res.request()
+        rq = {"double": released, "queued": queued,
+              "foreign": Resource(env).request()}[case]
+        users, waiting = list(res.users), list(res.wait_queue)
+        with pytest.raises(LifecycleError, match=message) as info:
+            res.release(rq)
+        assert info.value.__cause__ is None
+        assert info.value.__context__ is None or info.value.__suppress_context__
+        assert "ValueError" not in "".join(traceback.format_exception(info.value))
+        assert (res.users, list(res.wait_queue)) == (users, waiting) == ([holder], [queued])
 
     def test_cancel_removes_from_queue(self):
         env = Environment(0)
