@@ -27,7 +27,6 @@ __all__ = [
     "UnhandledFailureError",
     "Condition",
     "any_of",
-    "all_of",
 ]
 
 # Scheduling priorities: smaller runs earlier at equal time. Internal
@@ -154,14 +153,6 @@ class Event:
             raise LifecycleError(f"cannot add a callback to processed {self!r}")
         self.callbacks.append(callback)
 
-    # -- composition --------------------------------------------------
-
-    def __or__(self, other: "Event") -> "Condition":
-        return any_of(self.env, [self, other])
-
-    def __and__(self, other: "Event") -> "Condition":
-        return all_of(self.env, [self, other])
-
     def _stage(self) -> str:
         return ("pending" if self._sched_time is None else
                 "triggered" if self.callbacks is not None else "processed")
@@ -285,7 +276,7 @@ class Environment:
 
 
 class Condition(Event):
-    """Composite over a fixed set of events (all-of or any-of).
+    """Composite over a fixed set of events, met when the first is processed.
 
     Succeeds with a mapping of the constituents processed at the moment the
     condition was met, in constituent order. The first failing constituent
@@ -294,9 +285,9 @@ class Condition(Event):
     triggers, so a losing branch cannot abort the run.
     """
 
-    __slots__ = ("_events", "_left")
+    __slots__ = ("_events",)
 
-    def __init__(self, env: Environment, events: Iterable[Event], need_all: bool):
+    def __init__(self, env: Environment, events: Iterable[Event]):
         events = list(events)
         if not events:
             raise ValueError("composite event over an empty list")
@@ -305,7 +296,6 @@ class Condition(Event):
                 raise LifecycleError(f"{ev!r} belongs to a different environment")
         super().__init__(env)
         self._events = events
-        self._left = len(events) if need_all else 1
         for ev in events:
             if ev.callbacks is None:
                 self._on_constituent(ev)
@@ -318,16 +308,10 @@ class Condition(Event):
             if self._sched_time is None:
                 self.fail(ev._value)
             return
-        self._left -= 1
-        if self._left == 0 and self._sched_time is None:
+        if self._sched_time is None:
             self.succeed({e: e._value for e in self._events if e.callbacks is None})
 
 
 def any_of(env: Environment, events: Iterable[Event]) -> Condition:
     """Event processed once the first of ``events`` is processed."""
-    return Condition(env, events, need_all=False)
-
-
-def all_of(env: Environment, events: Iterable[Event]) -> Condition:
-    """Event processed once every one of ``events`` is processed."""
-    return Condition(env, events, need_all=True)
+    return Condition(env, events)

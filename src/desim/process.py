@@ -31,8 +31,8 @@ class Process(Event):
     """Handle for a spawned body; usable as an event that is its completion.
 
     The completion succeeds with the body's return value or fails with the
-    exception the body raised. ``alive`` is true from spawn until the
-    completion event has been processed.
+    exception the body raised; a ``MemoryError`` ends the run instead.
+    ``alive`` is true from spawn until the completion event has been processed.
     """
 
     __slots__ = ("name", "_body", "_awaiting")
@@ -71,18 +71,14 @@ class Process(Event):
         """
         if self._sched_time is not None:
             raise LifecycleError(f"cannot interrupt completed process {self.name!r}")
-        self._wake(Interrupted(cause))
-
-    # -- internals ------------------------------------------------------
-
-    def _wake(self, interrupt: Interrupted) -> None:
-        """Queue an urgent resume now that delivers ``interrupt``."""
         wake = Event(self.env)
         wake._ok = False
-        wake._value = interrupt
+        wake._value = Interrupted(cause)
         wake._observed = True  # an interrupt is never an unhandled failure
         wake.callbacks.append(self._resume)
         self.env.schedule(wake, URGENT, 0.0)
+
+    # -- internals ------------------------------------------------------
 
     def _resume(self, event: Event) -> None:
         """Run the body from its yield point with ``event``'s outcome."""
@@ -105,6 +101,8 @@ class Process(Event):
             except StopIteration as stop:
                 self.succeed(stop.value)
                 return
+            except MemoryError:
+                raise
             except Exception as failure:
                 self.fail(failure)
                 return

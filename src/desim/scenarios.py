@@ -302,13 +302,14 @@ def counter_scenario(env: Environment, n_customers: int = 10,
     event to the service line and wake the operator if it fell asleep. The
     operator serves the head ticket after exactly ``SERVICE_DELAY``, failing
     one service in ``FAIL_ONE_IN`` on average; with nothing to do it sleeps
-    on an event nobody ever triggers until a customer interrupts it.
+    on an event nobody ever triggers until a customer interrupts it. The
+    log holds one record per customer who arrived by the horizon.
     """
     if not isinstance(n_customers, int) or n_customers < 1:
         raise ValueError(f"n_customers must be an integer >= 1, got {n_customers!r}")
     trace: list[TraceRecord] = []
     line: deque[tuple[Event, CustomerRecord]] = deque()
-    records = [CustomerRecord(i) for i in range(n_customers)]
+    records: list[CustomerRecord] = []
     idle = False
 
     def emit(actor: str, message: str) -> None:
@@ -332,8 +333,10 @@ def counter_scenario(env: Environment, n_customers: int = 10,
             emit("Customer", "left")
 
     def customer_generator():
-        for record in records:
-            spawn(env, customer(record), name=f"customer-{record.index}")
+        for i in range(n_customers):
+            record = CustomerRecord(i)
+            records.append(record)
+            spawn(env, customer(record), name=f"customer-{i}")
             yield env.timeout(env.rng.expovariate_mean(SERVICE_DELAY))
 
     def counter():

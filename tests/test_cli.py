@@ -412,8 +412,8 @@ def test_out_of_memory_is_one_line_and_exit_2(tmp_path):
         "import resource, sys",
         "resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))",
         "from desim.cli import main",
-        "sys.exit(main(['run', '--scenario', 'counter', '--n', '20000000',",
-        f"             '--output', {str(target)!r}]))",
+        "sys.exit(main(['run', '--scenario', 'ordered', '--n', '30000000',",
+        f"             '--until', '1', '--output', {str(target)!r}]))",
     ])
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
     proc = subprocess.run([sys.executable, "-c", script], env=env,
@@ -421,6 +421,42 @@ def test_out_of_memory_is_one_line_and_exit_2(tmp_path):
     assert proc.returncode == 2 and proc.stdout == ""
     assert proc.stderr == "simulation error: out of memory\n"
     assert not target.exists()
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")
+def test_counter_memory_follows_the_customers_who_arrived():
+    # 1e8 customers cannot all be held under 512 MB; the 10 time units
+    # before the horizon see only a few of them.
+    script = "\n".join([
+        "import resource, sys",
+        "resource.setrlimit(resource.RLIMIT_AS, (512 * 2**20, 512 * 2**20))",
+        "from desim.cli import main",
+        "sys.exit(main(['run', '--scenario', 'counter', '--n', '100000000',",
+        "             '--until', '10']))",
+    ])
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert len(proc.stdout.splitlines()) == 6
+
+
+def test_memory_error_in_a_process_body_is_one_line_and_exit_2(monkeypatch):
+    # The 50th draw is taken inside a diner's body, mid-run.
+    from desim.rng import Rng
+    draw = Rng.expovariate_mean
+    calls = 0
+    def exhausted(self, mean):
+        nonlocal calls
+        calls += 1
+        if calls == 50:
+            raise MemoryError()
+        return draw(self, mean)
+    monkeypatch.setattr(Rng, "expovariate_mean", exhausted)
+    code, out, err = run_cli("run", "--scenario", "ordered", "--n", "5",
+                             "--until", "1000")
+    assert calls == 50
+    assert (code, out, err) == (2, "", "simulation error: out of memory\n")
 
 
 def run_module(*argv):

@@ -14,7 +14,6 @@ from desim import (
     Resource,
     RunOutcome,
     UnhandledFailureError,
-    all_of,
     any_of,
     spawn,
 )
@@ -347,58 +346,21 @@ class TestComposites:
         assert list(out["got"].values()) == ["fast"]
         assert out["slow_processed"] is False
 
-    def test_all_of_waits_for_last(self):
-        env = Environment(0)
-        out = {}
-        def joiner():
-            got = yield all_of(env, [env.timeout(1.0), env.timeout(2.0)])
-            out["t"] = env.now
-            out["n"] = len(got)
-        spawn(env, joiner())
-        env.run()
-        assert out == {"t": 2.0, "n": 2}
-
-    def test_all_of_is_linear_in_its_constituents(self):
+    def test_any_of_is_linear_in_its_constituents(self):
         # 2 s is far above linear time and far below a re-scan of the whole
         # list on every constituent's success, which is quadratic.
         env = Environment(0)
         events = [env.timeout(float(i)) for i in range(20_000)]
         started = time.perf_counter()
-        cond = all_of(env, events)
+        cond = any_of(env, events)
         env.run()
         assert time.perf_counter() - started < 2.0
-        assert cond.processed and list(cond.value) == events
-
-    def test_all_of_over_settled_events_fails_if_any_failed(self):
-        # A failure fails the composite wherever it stands in the list, also
-        # when every constituent was processed before the composite existed.
-        env = Environment(0)
-        ok, bad = env.event(), env.event()
-        ok.succeed()
-        bad.fail(RuntimeError("listed last"))
-        def observer():
-            try:
-                yield bad
-            except RuntimeError:
-                pass
-        spawn(env, observer())
-        env.run()
-        out = {}
-        def joiner():
-            try:
-                yield all_of(env, [ok, bad])
-            except RuntimeError as exc:
-                out["cause"] = exc
-        spawn(env, joiner())
-        env.run()
-        assert out["cause"] is bad.failure_cause
+        assert cond.processed and list(cond.value) == events[:1]
 
     def test_empty_composite_rejected(self):
         env = Environment(0)
         with pytest.raises(ValueError):
             any_of(env, [])
-        with pytest.raises(ValueError):
-            all_of(env, [])
 
     def test_constituent_of_another_environment_rejected(self):
         with pytest.raises(LifecycleError, match="different environment"):
@@ -424,7 +386,7 @@ class TestComposites:
             ev = env.event()
             ev.fail(cause)
             try:
-                yield all_of(env, [ev])
+                yield any_of(env, [ev])
             except RuntimeError as exc:
                 out["same"] = exc is cause
                 out["t"] = env.now
@@ -467,18 +429,6 @@ class TestComposites:
         spawn(env, racer())
         env.run()
         assert out == {"t": 1.0, "n": 1}
-
-    def test_operator_sugar(self):
-        env = Environment(0)
-        out = {}
-        def body():
-            yield env.timeout(1.0) | env.timeout(5.0)
-            out["or"] = env.now
-            yield env.timeout(1.0) & env.timeout(2.0)
-            out["and"] = env.now
-        spawn(env, body())
-        env.run()
-        assert out == {"or": 1.0, "and": 3.0}
 
     def test_already_processed_constituent_meets_any_of_at_once(self):
         env = Environment(0)

@@ -274,6 +274,17 @@ class TestSubprocess:
         assert err.value.process_name == "doomed-child"
         assert isinstance(err.value.cause, Boom)
 
+    def test_memory_error_in_a_body_ends_the_run_not_the_process(self):
+        # Running out of memory is not a process outcome a joiner can handle.
+        env = Environment(0)
+        def hog():
+            yield env.timeout(1.0)
+            raise MemoryError()
+        handle = spawn(env, hog(), name="hog")
+        with pytest.raises(MemoryError):
+            env.run()
+        assert env.now == 1.0 and not handle.triggered
+
     def test_alive_tracks_completion_processing(self):
         env = Environment(0)
         def body():
