@@ -278,14 +278,14 @@ class Environment:
 class Condition(Event):
     """Composite over a fixed set of events, met when the first is processed.
 
-    Succeeds with a mapping of the constituents processed at the moment the
-    condition was met, in constituent order. The first failing constituent
+    Succeeds with its first successful constituent (the first in list order
+    if several are processed at construction). The first failing constituent
     fails the composite with the same cause; constituent failures are counted
     as observed by the composite whether they arrive before or after it
     triggers, so a losing branch cannot abort the run.
     """
 
-    __slots__ = ("_events",)
+    __slots__ = ()
 
     def __init__(self, env: Environment, events: Iterable[Event]):
         events = list(events)
@@ -295,7 +295,6 @@ class Condition(Event):
             if ev.env is not env:
                 raise LifecycleError(f"{ev!r} belongs to a different environment")
         super().__init__(env)
-        self._events = events
         for ev in events:
             if ev.callbacks is None:
                 self._on_constituent(ev)
@@ -309,7 +308,7 @@ class Condition(Event):
                 self.fail(ev._value)
             return
         if self._sched_time is None:
-            self.succeed({e: e._value for e in self._events if e.callbacks is None})
+            self.succeed(ev)
 
 
 def any_of(env: Environment, events: Iterable[Event]) -> Condition:

@@ -22,11 +22,6 @@ class Request(Event):
 
     __slots__ = ("resource",)
 
-    @property
-    def granted(self) -> bool:
-        """A request is granted exactly when it is queued for processing."""
-        return not self.pending
-
 
 class Resource:
     """Renewable resource shared by at most ``capacity`` users at a time."""
@@ -79,22 +74,9 @@ class Resource:
         if self.wait_queue:
             self._grant(self.wait_queue.popleft())
 
-    def cancel(self, rq: Request) -> None:
-        """Withdraw a queued request so it can never be granted.
-
-        Only pending (not yet granted) requests can be cancelled; a granted
-        request must be released instead.
-        """
-        if rq.granted:
-            raise LifecycleError("cannot cancel a granted request; release it")
-        if rq not in self.wait_queue:
-            raise LifecycleError("cancel of an unknown or already-cancelled request")
-        self.wait_queue.remove(rq)
-
-    def _grant(self, rq: Request) -> None:  # as rq.succeed(rq), without the call
+    def _grant(self, rq: Request) -> None:  # as rq.succeed(), without the call
         self.users.append(rq)
         self.env.schedule(rq)
-        rq._value = rq
 
     def __repr__(self) -> str:
         return (f"<Resource capacity={self.capacity} count={len(self.users)} "

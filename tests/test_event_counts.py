@@ -105,7 +105,7 @@ class TestInterceptionContract:
         def consumer():
             got = box.get(3.0)
             race = yield any_of(env, [got, env.timeout(5.0)])
-            seen["won"] = got in race
+            seen["won"] = race is got
 
         def sleeper():
             try:

@@ -28,14 +28,14 @@ class ResourceMachine(RuleBasedStateMachine):
     def setup(self, capacity):
         self.env = Environment(0)
         self.res = Resource(self.env, capacity)
-        self.created = []           # requests not cancelled, in creation order
+        self.created = []           # requests, in creation order
         self.grants = []            # granted requests, in grant order
         self.holders = []           # model: granted and not released
         self.waiting = deque()      # model: FIFO of requests not yet granted
 
     def _record_grants(self):
         for rq in self.created:
-            if rq.granted and rq not in self.grants:
+            if not rq.pending and rq not in self.grants:
                 self.grants.append(rq)
 
     @rule()
@@ -58,14 +58,6 @@ class ResourceMachine(RuleBasedStateMachine):
             self.holders.append(self.waiting.popleft())
         self._record_grants()
 
-    @precondition(lambda self: self.waiting)
-    @rule(data=st.data())
-    def cancel(self, data):
-        rq = data.draw(st.sampled_from(list(self.waiting)))
-        self.res.cancel(rq)
-        self.waiting.remove(rq)
-        self.created.remove(rq)
-
     @rule()
     def step(self):
         self.env.step()
@@ -78,13 +70,12 @@ class ResourceMachine(RuleBasedStateMachine):
     def matches_fifo_model(self):
         assert self.res.users == self.holders
         assert list(self.res.wait_queue) == list(self.waiting)
-        assert all(rq.granted for rq in self.holders)
-        assert not any(rq.granted for rq in self.waiting)
+        assert not any(rq.pending for rq in self.holders)
+        assert all(rq.pending for rq in self.waiting)
 
     @invariant()
     def grants_come_in_fifo_order(self):
-        # Cancelled requests are dropped from ``created``, so the surviving
-        # requests are granted exactly in the order they were made.
+        # Requests are granted exactly in the order they were made.
         assert self.grants == self.created[:len(self.grants)]
 
 

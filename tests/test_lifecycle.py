@@ -1,9 +1,9 @@
 """Lifecycle observations at every stage, and every illegal transition.
 
 Pins what ``pending``, ``triggered``, ``processed``, ``succeeded``,
-``failed``, ``value``, ``failure_cause`` and ``Request.granted`` report for a
-plain event, a timeout, a resource request and a container get, so that the
-way these facts are recorded can change without changing what they say.
+``failed``, ``value`` and ``failure_cause`` report for a plain event, a
+timeout, a resource request and a container get, so that the way these
+facts are recorded can change without changing what they say.
 """
 
 import pytest
@@ -122,28 +122,18 @@ class TestRequest:
         holder = res.request()
         rq = res.request()
         assert_stage(rq, "pending")
-        assert rq.granted is False
         with pytest.raises(LifecycleError):
             res.release(rq)
         res.release(holder)
         assert_stage(rq, "triggered")
-        assert rq.granted is True
-        with pytest.raises(LifecycleError):
-            res.cancel(rq)
         assert_not_pending(env, rq)
         env.run()
-        assert_stage(rq, "succeeded", value=rq)
-        assert rq.granted is True
-        with pytest.raises(LifecycleError):
-            res.cancel(rq)
+        assert_stage(rq, "succeeded", value=None)
         res.release(rq)
-        assert_stage(rq, "succeeded", value=rq)
-        assert rq.granted is True
+        assert_stage(rq, "succeeded", value=None)
         assert res.count == 0
         with pytest.raises(LifecycleError):
             res.release(rq)
-        with pytest.raises(LifecycleError):
-            res.cancel(rq)
         assert_processed_rejects_callbacks(rq)
 
     def test_released_before_processing(self):
@@ -151,44 +141,20 @@ class TestRequest:
         res = Resource(env, capacity=1)
         rq = res.request()
         assert_stage(rq, "triggered")
-        assert rq.granted is True
         res.release(rq)
         assert_stage(rq, "triggered")
-        assert rq.granted is True
         with pytest.raises(LifecycleError):
             res.release(rq)
-        with pytest.raises(LifecycleError):
-            res.cancel(rq)
         env.run()
-        assert_stage(rq, "succeeded", value=rq)
-
-    def test_cancelled_stays_pending_forever(self):
-        env = Environment(0)
-        res = Resource(env, capacity=1)
-        holder = res.request()
-        rq = res.request()
-        res.cancel(rq)
-        assert_stage(rq, "pending")
-        assert rq.granted is False
-        with pytest.raises(LifecycleError):
-            res.cancel(rq)
-        with pytest.raises(LifecycleError):
-            res.release(rq)
-        res.release(holder)
-        env.run()
-        assert_stage(rq, "pending")
-        assert rq.granted is False
-        assert res.count == 0 and res.queued == 0
+        assert_stage(rq, "succeeded", value=None)
 
     def test_other_resource_rejects_release_and_cancel(self):
         env = Environment(0)
         res, other = Resource(env, capacity=1), Resource(env, capacity=1)
         granted = res.request()
-        queued = res.request()
+        res.request()
         with pytest.raises(LifecycleError, match="different resource"):
             other.release(granted)
-        with pytest.raises(LifecycleError):
-            other.cancel(queued)
         assert res.count == 1 and res.queued == 1
 
 

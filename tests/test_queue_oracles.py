@@ -1,4 +1,4 @@
-"""Known-answer checks for multi-server grants and fixed service times.
+"""Known-answer checks for multi-server grants, fixed service times and reneging.
 
 No model in ``desim.scenarios`` uses a ``Resource`` with capacity above 1 or a
 fixed service time, and ``mm1_simulate`` covers M/M/1 only. A small FIFO queue
@@ -8,13 +8,20 @@ as the M/M/1 oracle:
 - M/M/c, mean queue wait by Erlang C (Erlang 1917; Kleinrock 1975,
   *Queueing Systems*, Vol. 1);
 - M/D/1, mean queue wait by Pollaczek-Khinchine, Wq = rho / (2 mu (1 - rho)).
+
+A third model checks the impatient diner's race-and-cancel path: a
+``Container`` holding ``c`` units is a pool of servers, and each customer
+races ``get(1)`` against an exponential patience with ``any_of``, calling
+``cancel_get`` on losing. That is Erlang-A, M/M/c+M (Palm 1943; Garnett,
+Mandelbaum & Reiman 2002, *Manufacturing & Service Operations Management*),
+whose abandonment probability follows from its birth-death chain.
 """
 
 import math
 
 import pytest
 
-from desim import Environment, Resource, spawn
+from desim import Container, Environment, Resource, any_of, spawn
 
 CUSTOMERS = 60_000
 SERVICE_RATE = 0.1
@@ -81,4 +88,60 @@ def test_multi_server_wait_matches_erlang_c(servers, rho):
 def test_fixed_service_wait_matches_pollaczek_khinchine(rho):
     expected = pollaczek_khinchine_wait(rho, SERVICE_RATE)
     observed = mean_queue_wait(1, rho * SERVICE_RATE, lambda rng: 1.0 / SERVICE_RATE)
+    assert abs(observed - expected) <= 0.1 * expected
+
+
+def abandon_fraction(arrival_rate, service_rate, patience_rate, servers, seed=0):
+    """Share of ``CUSTOMERS`` Poisson arrivals who give up before a grant."""
+    env = Environment(seed)
+    pool = Container(env, init=servers, capacity=servers)
+    abandoned = 0
+
+    def customer():
+        nonlocal abandoned
+        grant = pool.get(1)
+        deadline = env.timeout(env.rng.expovariate_mean(1.0 / patience_rate))
+        if (yield any_of(env, [grant, deadline])) is not grant:
+            pool.cancel_get(grant)
+            abandoned += 1
+            return
+        yield env.timeout(env.rng.expovariate_mean(1.0 / service_rate))
+        pool.put(1)
+
+    def arrivals():
+        for _ in range(CUSTOMERS):
+            spawn(env, customer())
+            yield env.timeout(env.rng.expovariate_mean(1.0 / arrival_rate))
+
+    spawn(env, arrivals())
+    env.run()
+    return abandoned / CUSTOMERS
+
+
+def erlang_a_abandon(arrival_rate, service_rate, patience_rate, servers, states=400):
+    """P(abandon) of M/M/c+M: theta E[queue] / lambda, chain truncated at ``states``."""
+    weights = [1.0]
+    for n in range(1, states):
+        death = min(n, servers) * service_rate + max(n - servers, 0) * patience_rate
+        weights.append(weights[-1] * arrival_rate / death)
+    queue = sum(max(n - servers, 0) * w for n, w in enumerate(weights)) / sum(weights)
+    return patience_rate * queue / arrival_rate
+
+
+def test_erlang_a_without_patience_limit_is_erlang_c():
+    # As theta -> 0 the queue tends to M/M/c's, so theta E[queue] / lambda
+    # tends to theta Wq by Little's law.
+    theta = 1e-9
+    expected = theta * erlang_c_wait(2, 1.5, 1.0)
+    assert erlang_a_abandon(1.5, 1.0, theta, 2) == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize("arrival_rate, service_rate, patience_rate, servers", [
+    (0.9, 1.0, 0.5, 1),
+    (1.2, 1.0, 0.2, 1),  # overloaded: only reneging keeps the queue finite
+    (2.5, 1.0, 0.3, 3),
+])
+def test_reneging_matches_erlang_a(arrival_rate, service_rate, patience_rate, servers):
+    expected = erlang_a_abandon(arrival_rate, service_rate, patience_rate, servers)
+    observed = abandon_fraction(arrival_rate, service_rate, patience_rate, servers)
     assert abs(observed - expected) <= 0.1 * expected

@@ -1,5 +1,6 @@
-"""Resource grant/release/cancel discipline and container stock accounting."""
+"""Resource grant/release discipline and container stock accounting."""
 
+import gc
 import math
 import random
 import traceback
@@ -7,6 +8,8 @@ import traceback
 import pytest
 
 from desim import Container, Environment, LifecycleError, Resource, spawn
+from desim.resources import Request
+from desim.stats import MM1Params, mm1_simulate
 
 
 class TestResource:
@@ -30,7 +33,7 @@ class TestResource:
         env = Environment(0)
         res = Resource(env, capacity=2)
         r1, r2, r3 = res.request(), res.request(), res.request()
-        assert (r1.granted, r2.granted, r3.granted) == (True, True, False)
+        assert (r1.pending, r2.pending, r3.pending) == (False, False, True)
         assert (res.count, res.queued) == (2, 1)
 
     def test_one_holder_two_waiters(self):
@@ -128,42 +131,23 @@ class TestResource:
         assert "ValueError" not in "".join(traceback.format_exception(info.value))
         assert (res.users, list(res.wait_queue)) == (users, waiting) == ([holder], [queued])
 
-    def test_cancel_removes_from_queue(self):
-        env = Environment(0)
-        res = Resource(env, capacity=1)
-        res.request()
-        queued = res.request()
-        assert res.queued == 1
-        res.cancel(queued)
-        assert res.queued == 0
-        assert not queued.processed
-
-    def test_cancel_then_release_grants_next_live_waiter(self):
-        env = Environment(0)
-        res = Resource(env, capacity=1)
-        holder = res.request()
-        doomed = res.request()
-        survivor = res.request()
-        res.cancel(doomed)
-        res.release(holder)
-        assert survivor.granted
-        assert not doomed.granted
-
-    def test_cancel_granted_request_is_error(self):
-        env = Environment(0)
-        res = Resource(env, capacity=1)
-        rq = res.request()
-        with pytest.raises(LifecycleError, match="release it"):
-            res.cancel(rq)
-
-    def test_cancel_twice_is_error(self):
-        env = Environment(0)
-        res = Resource(env, capacity=1)
-        res.request()
-        queued = res.request()
-        res.cancel(queued)
-        with pytest.raises(LifecycleError):
-            res.cancel(queued)
+    def test_grant_leaves_no_reference_cycle(self):
+        # A granted request once held itself as its value, so every grant
+        # outlived its run until a full collection.
+        enabled, flags, saved = gc.isenabled(), gc.get_debug(), gc.garbage[:]
+        gc.collect()
+        gc.disable()
+        try:
+            gc.set_debug(gc.DEBUG_SAVEALL)
+            mm1_simulate(MM1Params(0.09, 0.1), 500)
+            gc.collect()
+            cyclic = sum(isinstance(ob, Request) for ob in gc.garbage)
+        finally:
+            gc.set_debug(flags)
+            gc.garbage[:] = saved
+            if enabled:
+                gc.enable()
+        assert cyclic == 0
 
 
 class TestContainer:

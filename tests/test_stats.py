@@ -48,6 +48,18 @@ class TestRng:
             x = rng.expovariate_mean(10.0)
             assert x > 0.0 and math.isfinite(x)
 
+    def test_zero_uniform_draw_is_redrawn(self):
+        # log(0) would give an infinite variate; 0.0 has chance 2**-53 per draw.
+        class Stub:
+            draws = iter([0.0, 0.5])
+
+            def random(self):
+                return next(self.draws)
+
+        rng = Rng(0)
+        rng._mt = Stub()
+        assert rng.expovariate_mean(2.0) == -2.0 * math.log(0.5)
+
     def test_empirical_mean_within_one_percent(self):
         rng = Rng(1234)
         n = 1_000_000
