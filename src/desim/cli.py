@@ -36,8 +36,8 @@ class _Parser(argparse.ArgumentParser):
 
 def emit_trace(records: Iterable[tuple[float, str, str]], fmt: str = "human",
                precision: int = 6) -> str:
-    """Render ``(time, actor, message)`` records, ``TraceRecord``s or plain
-    tuples, one per line; empty input yields empty output."""
+    """Render ``(time, actor, message)`` tuples, one line each; empty input
+    yields empty output."""
     if fmt == "human":
         line = f"%s %s @%.{precision}f\n"  # one format: the bytes of {time:.{p}f}
         return "".join([line % (actor, message, time)
@@ -51,8 +51,8 @@ def emit_trace(records: Iterable[tuple[float, str, str]], fmt: str = "human",
 
 
 class _Spool:
-    """``--diag`` trace: :meth:`emit` is a party's sink. It keeps plain tuples
-    and renders every ``CHUNK`` of them, so it holds the text and one chunk."""
+    """``desim run``'s trace: :meth:`emit` is the models' sink. It keeps plain
+    tuples and renders every ``CHUNK`` of them: it holds the text and one chunk."""
 
     CHUNK = 4096
 
@@ -151,8 +151,8 @@ def _write(path: str | None, stdout: IO[str], parts: list[str]) -> None:
 
 
 def _cmd_run(args) -> tuple[int, list[str]]:
-    """Run one scenario; return 0 and its text parts: a party's ``--diag`` trace,
-    rendered in chunks as the run goes (:class:`_Spool`), then the report lines.
+    """Run one scenario; return 0 and its text parts: its trace, rendered in
+    chunks as the run goes (:class:`_Spool`), then a party's report lines.
     The spool hands its text over and holds none of it."""
     precision = args.precision
     if precision is None:
@@ -161,10 +161,11 @@ def _cmd_run(args) -> tuple[int, list[str]]:
         precision = 1 if args.scenario == "counter" else 6
     if not 0 <= precision <= 20:
         raise ValueError("--precision must be between 0 and 20")
+    spool = _Spool(args.format, precision)
     if args.scenario == "counter":
         n = 10 if args.n is None else args.n
-        result = counter_scenario(Environment(args.seed), n, args.until)
-        return 0, [emit_trace(result.trace, args.format, precision)]
+        counter_scenario(Environment(args.seed), n, args.until, trace=spool.emit)
+        return 0, spool.take()
     if args.until is None and args.scenario != "classic":
         # Only a classic party can run out of events (by deadlocking).
         raise ValueError(f"--until is required for the {args.scenario} "
@@ -175,11 +176,10 @@ def _cmd_run(args) -> tuple[int, list[str]]:
     env = Environment(args.seed)
     n = 5 if args.n is None else args.n
     until = CLASSIC_HORIZON if args.until is None else args.until
-    spool = _Spool(args.format, precision) if args.diag else None
     party = build_party(env, n, args.scenario,
-                        trace=spool.emit if spool is not None else None)
+                        trace=spool.emit if args.diag else None)
     outcome = env.run(until)
-    out = spool.take() if spool is not None else []
+    out = spool.take()
     if args.format == "human":
         counts = [c.count for c in party.chopsticks]
         if outcome.exhausted:

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from collections import deque
 from enum import Enum
-from types import SimpleNamespace
 from typing import Callable, NamedTuple
 
 from .kernel import Environment, Event, RunOutcome, any_of
@@ -26,7 +25,6 @@ from .resources import Container, Resource
 
 __all__ = [
     "PhilosopherState",
-    "TraceRecord",
     "CustomerFailed",
     "Philosopher",
     "Chef",
@@ -75,14 +73,6 @@ ALLOWED_TRANSITIONS = {
     (PhilosopherState.EATING, PhilosopherState.THINKING),
 }
 GIVE_UP_TRANSITION = (PhilosopherState.HUNGRY_WITH_ONE, PhilosopherState.THINKING)
-
-
-class TraceRecord(NamedTuple):
-    """One diagnostic line: who did what, when."""
-
-    time: float
-    actor: str
-    message: str
 
 
 class CustomerFailed(Exception):
@@ -275,49 +265,55 @@ def detect_deadlock(chopsticks) -> bool:
     return bool(chopsticks) and all(c.count and c.queued for c in chopsticks)
 
 
-class CustomerRecord(SimpleNamespace):
+class CustomerRecord:
     """One customer's log, filled in by ``counter_scenario`` as the run goes."""
+
+    __slots__ = ("index", "arrival", "service_start", "departure", "failed")
 
     def __init__(self, index: int, arrival: float | None = None,
                  service_start: float | None = None,
                  departure: float | None = None, failed: bool = False):
-        super().__init__(index=index, arrival=arrival, service_start=service_start,
-                         departure=departure, failed=failed)
+        self.index, self.arrival, self.service_start = index, arrival, service_start
+        self.departure, self.failed = departure, failed
 
-    def __reduce__(self):  # the inherited one calls CustomerRecord() with no index
-        return CustomerRecord, (self.index,), vars(self)
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"CustomerRecord({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not CustomerRecord:
+            return NotImplemented
+        names = self.__slots__
+        return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
 
 
 class CounterResult(NamedTuple):
-    trace: list[TraceRecord]
     customers: list[CustomerRecord]
     outcome: RunOutcome
 
 
 def counter_scenario(env: Environment, n_customers: int = 10,
-                     until: float | None = None) -> CounterResult:
-    """Run the service-counter model and return its trace and per-customer log.
+                     until: float | None = None, *,
+                     trace: Callable[[float, str, str], object]) -> CounterResult:
+    """Run the service-counter model and return its per-customer log.
 
     Customers arrive with exponential interarrival gaps, append a ticket
     event to the service line and wake the operator if it fell asleep. The
     operator serves the head ticket after exactly ``SERVICE_DELAY``, failing
     one service in ``FAIL_ONE_IN`` on average; with nothing to do it sleeps
-    on an event nobody ever triggers until a customer interrupts it. The
-    log holds one record per customer who arrived by the horizon.
+    on an event nobody ever triggers until a customer interrupts it. Each
+    step goes to the sink ``trace(time, actor, message)``, as a diner's does.
+    The log holds one record per customer who arrived by the horizon.
     """
     if not isinstance(n_customers, int) or n_customers < 1:
         raise ValueError(f"n_customers must be an integer >= 1, got {n_customers!r}")
-    trace: list[TraceRecord] = []
     line: deque[tuple[Event, CustomerRecord]] = deque()
     records: list[CustomerRecord] = []
     idle = False
 
-    def emit(actor: str, message: str) -> None:
-        trace.append(TraceRecord(env.now, actor, message))
-
     def customer(record: CustomerRecord):
         record.arrival = env.now
-        emit("Customer", "arrived")
+        trace(env.now, "Customer", "arrived")
         ticket = env.event()
         line.append((ticket, record))
         if idle:
@@ -327,10 +323,10 @@ def counter_scenario(env: Environment, n_customers: int = 10,
         except CustomerFailed:
             record.failed = True
             record.departure = env.now
-            emit("Customer", "failed (and left)")
+            trace(env.now, "Customer", "failed (and left)")
         else:
             record.departure = env.now
-            emit("Customer", "left")
+            trace(env.now, "Customer", "left")
 
     def customer_generator():
         for i in range(n_customers):
@@ -352,14 +348,14 @@ def counter_scenario(env: Environment, n_customers: int = 10,
                     ticket.succeed()
             else:
                 idle = True
-                emit("The operator", "fell asleep")
+                trace(env.now, "The operator", "fell asleep")
                 try:
                     yield env.event()
                 except Interrupted:
                     idle = False
-                    emit("The operator", "woke up")
+                    trace(env.now, "The operator", "woke up")
 
     spawn(env, customer_generator(), name="customer-generator")
     counter_handle: Process = spawn(env, counter(), name="counter")
     outcome = env.run(until)
-    return CounterResult(trace, records, outcome)
+    return CounterResult(records, outcome)

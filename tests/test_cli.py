@@ -5,14 +5,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from desim.cli import emit_trace, main
+from desim.cli import SCENARIOS, emit_trace, main
 from desim.kernel import UnhandledFailureError
 from desim.process import spawn
-from desim.scenarios import TraceRecord
+from desim.scenarios import VARIANTS
 from desim.stats import parse_csv
 
 
@@ -24,15 +27,15 @@ def run_cli(*argv):
 
 class TestEmitTrace:
     def test_human_format(self):
-        records = [TraceRecord(1.108437215824142, "P1", "obtained chopstick")]
+        records = [(1.108437215824142, "P1", "obtained chopstick")]
         assert emit_trace(records, "human", 6) == "P1 obtained chopstick @1.108437\n"
 
     def test_counter_precision(self):
-        records = [TraceRecord(10.0, "Customer", "left")]
+        records = [(10.0, "Customer", "left")]
         assert emit_trace(records, "human", 1) == "Customer left @10.0\n"
 
     def test_jsonl_format(self):
-        records = [TraceRecord(0.5, "P0", "requested chopstick")]
+        records = [(0.5, "P0", "requested chopstick")]
         line = emit_trace(records, "jsonl").strip()
         assert json.loads(line) == {"time": 0.5, "actor": "P0",
                                     "message": "requested chopstick"}
@@ -40,10 +43,9 @@ class TestEmitTrace:
     @pytest.mark.parametrize("precision", [0, 1, 6, 12])
     def test_human_format_matches_the_f_string_rendering(self, precision):
         times = [0.0, 1e-7, 0.5, 2.5, 24999.9999995, 1e16, 7]
-        records = [TraceRecord(t, f"P{i}", "obtained chopstick")
-                   for i, t in enumerate(times)]
-        expected = "".join(f"{r.actor} {r.message} @{r.time:.{precision}f}\n"
-                           for r in records)
+        records = [(t, f"P{i}", "obtained chopstick") for i, t in enumerate(times)]
+        expected = "".join(f"{actor} {message} @{t:.{precision}f}\n"
+                           for t, actor, message in records)
         assert emit_trace(records, "human", precision) == expected
 
     def test_empty_records_empty_output(self):
@@ -82,6 +84,24 @@ class TestRunCommand:
                                "--n", "25")
         assert code == 0
         assert sum(1 for l in out.splitlines() if l.startswith("Customer arrived")) == 25
+
+    def test_counter_trace_is_spooled_and_its_log_slotted(self, tmp_path):
+        # The counter's trace goes through the chunked spool as a party's does,
+        # and a customer's log has no __dict__: the run peaks at 2.6 MiB. An
+        # object kept per trace line, or a dict per customer log, takes it
+        # past 4 MiB (7.1 MiB with both).
+        import tracemalloc
+        from desim.scenarios import CustomerRecord
+        tracemalloc.start()
+        try:
+            code = main(["run", "--scenario", "counter", "--n", "10000", "--seed", "7",
+                         "--output", str(tmp_path / "out.txt")])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak <= 4 * 2**20, f"peak {peak / 2**20:.2f} MiB"
+        assert not hasattr(CustomerRecord(0), "__dict__")
 
     def test_philosopher_times_use_six_decimals_by_default(self):
         code, out, _ = run_cli("run", "--scenario", "ordered", "--n", "3",
@@ -155,7 +175,7 @@ class TestOutputFile:
 
     def test_simulation_error_leaves_file_as_it_was(self, tmp_path, monkeypatch):
         import desim.cli as cli
-        def explode(env, config, until):
+        def explode(env, config, until, trace):
             raise UnhandledFailureError(RuntimeError("boom"), "counter")
         monkeypatch.setattr(cli, "counter_scenario", explode)
         target = tmp_path / "trace.txt"
@@ -174,7 +194,7 @@ class TestOutputFile:
 
     def test_simulation_error_creates_no_file(self, tmp_path, monkeypatch):
         import desim.cli as cli
-        def explode(env, config, until):
+        def explode(env, config, until, trace):
             raise UnhandledFailureError(RuntimeError("boom"), "counter")
         monkeypatch.setattr(cli, "counter_scenario", explode)
         code, out, _ = run_cli("run", "--scenario", "counter", "--output",
@@ -396,7 +416,7 @@ class TestExitCodes:
 
     def test_simulation_contract_error_exits_2(self, monkeypatch):
         import desim.cli as cli
-        def explode(env, config, until):
+        def explode(env, config, until, trace):
             raise UnhandledFailureError(RuntimeError("boom"), "counter")
         monkeypatch.setattr(cli, "counter_scenario", explode)
         code, out, err = run_cli("run", "--scenario", "counter")
@@ -555,3 +575,79 @@ class TestValidateCommand:
         assert len(lines) == 3
         assert lines[0].startswith("FAIL")
         assert all(l.startswith("PASS") for l in lines[1:])
+
+
+@st.composite
+def command_lines(draw):
+    """``(argv, output)``: a ``run``, ``sweep`` or ``validate`` command line with
+    small sizes, and an ``--output`` name or ``None``. About one value in eight
+    is drawn from ``bad``, the values its command must reject."""
+    def value(good, bad):
+        return str(draw(st.sampled_from(bad) if draw(st.integers(0, 7)) == 0 else good))
+
+    def until():
+        good = st.integers(1, 1000) | st.floats(0.0, 1e3)
+        return value(good, ["-1.5", "inf", "nan", "x"])
+
+    seed = st.integers(0, 2**32)
+    command = draw(st.sampled_from(["run", "sweep", "validate"]))
+    if command == "validate":
+        argv = ["validate", "--customers", value(st.integers(1, 200), [0, -1]),
+                "--seed", value(seed, [-1])]
+    elif command == "sweep":
+        lo = draw(st.integers(2, 12))
+        n = st.sampled_from([str(lo), f"{lo}..{draw(st.integers(lo, 12))}"])
+        argv = ["sweep", "--scenario", value(st.sampled_from(VARIANTS), ["counter"]),
+                "--n", value(n, ["1", "4..2", "x"]), "--until", until(),
+                "--seeds", value(st.integers(1, 2), [0]),
+                "--workers", value(st.integers(1, 2), [0])]
+    else:
+        scenario = draw(st.sampled_from(SCENARIOS))
+        argv = ["run", "--scenario", scenario, "--seed", value(seed, [-1])]
+        if draw(st.booleans()):
+            good = st.integers(1, 200) if scenario == "counter" else st.integers(2, 12)
+            argv += ["--n", value(good, [0, 1] if scenario != "counter" else [0])]
+        # A classic party without --until may run to t=1e6: always bound it.
+        if scenario == "classic" or draw(st.integers(0, 7)):
+            argv += ["--until", until()]
+        if draw(st.booleans()):
+            argv += ["--diag"]
+        if draw(st.booleans()):
+            argv += ["--format", draw(st.sampled_from(["human", "jsonl"]))]
+        if draw(st.booleans()):
+            argv += ["--precision", value(st.integers(0, 20), [-1, 21])]
+    output = None  # validate has no --output
+    if command != "validate" and draw(st.booleans()):
+        output = value(st.sampled_from(["new.txt", "old.txt"]), ["missing/new.txt", "."])
+    return argv, output
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(drawn=command_lines())
+def test_exit_code_and_output_contract(tmp_path, drawn):
+    # Exit 0, 1 or 2 and nothing raised; a failed command writes no stdout and
+    # leaves --output as it was. The one nonzero exit with output is validate's
+    # 2, which prints its PASS and FAIL lines.
+    argv, output = drawn
+    where = Path(tempfile.mkdtemp(dir=tmp_path))
+    (where / "old.txt").write_text("keep\n")
+    if output is not None:
+        argv = [*argv, "--output", str(where / output)]
+    code, out, err = run_cli(*argv)
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert err == ""
+        if output is not None:
+            assert out == "" and (where / output).is_file()
+        return
+    assert sorted(p.name for p in where.iterdir()) == ["old.txt"]
+    assert (where / "old.txt").read_text() == "keep\n"
+    if code == 2 and argv[0] == "validate":
+        lines = out.splitlines()
+        assert err == "" and len(lines) == 3
+        assert all(l.startswith(("PASS", "FAIL")) for l in lines)
+        assert any(l.startswith("FAIL") for l in lines)
+    else:
+        prefix = "usage error: " if code == 1 else "simulation error: "
+        assert out == "" and err.startswith(prefix) and err.count("\n") == 1

@@ -15,6 +15,10 @@ races ``get(1)`` against an exponential patience with ``any_of``, calling
 ``cancel_get`` on losing. That is Erlang-A, M/M/c+M (Palm 1943; Garnett,
 Mandelbaum & Reiman 2002, *Manufacturing & Service Operations Management*),
 whose abandonment probability follows from its birth-death chain.
+
+A fourth runs that path as the diner does, on a stock refilled one unit at a
+time: make-to-stock with impatient backorders. Its abandonment probability
+follows from the birth-death chain of the net inventory.
 """
 
 import math
@@ -144,4 +148,82 @@ def test_erlang_a_without_patience_limit_is_erlang_c():
 def test_reneging_matches_erlang_a(arrival_rate, service_rate, patience_rate, servers):
     expected = erlang_a_abandon(arrival_rate, service_rate, patience_rate, servers)
     observed = abandon_fraction(arrival_rate, service_rate, patience_rate, servers)
+    assert abs(observed - expected) <= 0.1 * expected
+
+
+def stock_abandon_fraction(base_stock, arrival_rate, production_rate, patience_rate,
+                           seed=0):
+    """Share of ``CUSTOMERS`` Poisson arrivals who give up waiting for a unit.
+
+    A producer makes one unit in an exponential time, puts it into a stock of
+    ``base_stock`` units that starts full, and blocks while the stock is full.
+    Each customer races ``get(1)`` against an exponential patience.
+    """
+    env = Environment(seed)
+    stock = Container(env, init=base_stock, capacity=base_stock)
+    decided = abandoned = 0
+
+    def producer():
+        while decided < CUSTOMERS:
+            yield env.timeout(env.rng.expovariate_mean(1.0 / production_rate))
+            yield stock.put(1)
+
+    def customer():
+        nonlocal decided, abandoned
+        unit = stock.get(1)
+        deadline = env.timeout(env.rng.expovariate_mean(1.0 / patience_rate))
+        if (yield any_of(env, [unit, deadline])) is not unit:
+            stock.cancel_get(unit)
+            abandoned += 1
+        decided += 1
+
+    def arrivals():
+        for _ in range(CUSTOMERS):
+            spawn(env, customer())
+            yield env.timeout(env.rng.expovariate_mean(1.0 / arrival_rate))
+
+    spawn(env, producer())
+    spawn(env, arrivals())
+    env.run()
+    assert decided == CUSTOMERS
+    return abandoned / CUSTOMERS
+
+
+def make_to_stock_abandon(base_stock, arrival_rate, production_rate, patience_rate,
+                          states=400):
+    """P(abandon) with impatient backorders: theta E[backorders] / lambda.
+
+    Net inventory n is stock on hand minus backorders, and K+1 stands for a
+    full stock with the producer blocked. It falls at rate lambda and rises at
+    rate mu + theta (-n)+. The chain is truncated at ``states`` states.
+    """
+    weights = [1.0]  # weights[i] is net inventory K+1-i
+    for i in range(1, states):
+        backorders = max(i - base_stock - 1, 0)
+        weights.append(weights[-1] * arrival_rate
+                       / (production_rate + backorders * patience_rate))
+    backorders = sum(max(i - base_stock - 1, 0) * w
+                     for i, w in enumerate(weights)) / sum(weights)
+    return patience_rate * backorders / arrival_rate
+
+
+def test_make_to_stock_without_patience_limit_is_geometric():
+    # As theta -> 0, K+1-n is the M/M/1 queue length, geometric in
+    # rho = lambda / mu, so E[backorders] = rho^(K+2) / (1 - rho).
+    theta, arrival_rate, rho = 1e-9, 0.8, 0.8
+    expected = theta * rho ** 5 / (1 - rho) / arrival_rate
+    observed = make_to_stock_abandon(3, arrival_rate, 1.0, theta)
+    assert observed == pytest.approx(expected, rel=1e-6)
+
+
+@pytest.mark.parametrize("base_stock, arrival_rate, production_rate, patience_rate", [
+    (3, 1.0, 0.9, 0.5),
+    (2, 1.0, 0.8, 1.0),
+])
+def test_reneging_matches_make_to_stock(base_stock, arrival_rate, production_rate,
+                                        patience_rate):
+    expected = make_to_stock_abandon(base_stock, arrival_rate, production_rate,
+                                     patience_rate)
+    observed = stock_abandon_fraction(base_stock, arrival_rate, production_rate,
+                                      patience_rate)
     assert abs(observed - expected) <= 0.1 * expected

@@ -16,7 +16,6 @@ from desim.scenarios import (
     Party,
     Philosopher,
     PhilosopherState,
-    TraceRecord,
     build_party,
     counter_scenario,
     detect_deadlock,
@@ -44,10 +43,10 @@ def watch_transitions(env, diners):
 
 
 def collecting_sink():
-    """A ``trace`` sink that keeps each call as a ``TraceRecord``, and its list."""
+    """A ``trace`` sink that keeps each call as a ``(time, actor, message)``
+    tuple, and its list."""
     trace = []
-    return trace, lambda time, actor, message: trace.append(
-        TraceRecord(time, actor, message))
+    return trace, lambda *record: trace.append(record)
 
 
 def make_solo_philosopher(env, **kwargs):
@@ -67,8 +66,8 @@ class TestPhilosopher:
         # first request to the second grant; with free chopsticks that is
         # one pickup pause. Replaying the same float additions must give
         # the recorded total bit for bit.
-        starts = [r.time for r in trace if r.message == "requested chopstick"]
-        ends = [r.time for r in trace if r.message == "obtained another chopstick"]
+        starts = [t for t, _, message in trace if message == "requested chopstick"]
+        ends = [t for t, _, message in trace if message == "obtained another chopstick"]
         expected = 0.0
         for start, end in zip(starts, ends):
             assert abs((end - start) - 1.0) < 1e-9
@@ -81,7 +80,7 @@ class TestPhilosopher:
         trace, sink = collecting_sink()
         make_solo_philosopher(env, trace=sink)
         env.run(until=60.0)
-        messages = [r.message for r in trace[:6]]
+        messages = [message for _, _, message in trace[:6]]
         assert messages == [
             "requested chopstick",
             "obtained chopstick",
@@ -92,9 +91,9 @@ class TestPhilosopher:
         ]
         # Request and grant of a free chopstick share a timestamp; the second
         # request comes exactly one pause later.
-        assert trace[0].time == trace[1].time
-        assert trace[2].time == trace[1].time + 1.0
-        assert all(r.actor == "P0" for r in trace)
+        assert trace[0][0] == trace[1][0]
+        assert trace[2][0] == trace[1][0] + 1.0
+        assert all(actor == "P0" for _, actor, _ in trace)
 
     def test_transitions_follow_the_state_graph(self):
         env = Environment(5)
@@ -245,7 +244,7 @@ class TestBowlAndChef:
         bowl = Container(env, init=1000.0, capacity=1000.0)
         make_solo_philosopher(env, variant="bowl", bowl=bowl, trace=sink)
         env.run(until=30.0)
-        assert "reserved food" in [r.message for r in trace]
+        assert "reserved food" in [message for _, _, message in trace]
         assert bowl.level <= 980.0
 
     def test_chef_refills_exactly_the_missing_amount(self):
@@ -304,12 +303,13 @@ class TestImpatient:
             trace=sink,
         )
         env.run(until=1000.0)
-        gave_ups = [r for r in trace if r.message == "gave up"]
+        gave_ups = [t for t, _, message in trace if message == "gave up"]
         assert len(gave_ups) >= 2, "a dead chef means perpetual give-ups"
         assert ph.meals == 0
         # The give-up lands exactly MAX_FOOD_WAIT after the second grant.
-        second_grants = [r.time for r in trace if r.message == "obtained another chopstick"]
-        assert gave_ups[0].time == second_grants[0] + 75.0
+        second_grants = [t for t, _, message in trace
+                         if message == "obtained another chopstick"]
+        assert gave_ups[0] == second_grants[0] + 75.0
         # Escalation: one extra portion per consecutive give-up.
         assert ph.meal_size == 20.0 * (1 + ph.give_ups)
         assert ph.total_give_ups == ph.give_ups
@@ -452,8 +452,9 @@ class TestInlineMealAttempt:
 class TestCounter:
     def test_time_zero_block_matches_reference_ordering(self):
         env = Environment(3)
-        result = counter_scenario(env)
-        head = [(r.actor, r.message, r.time) for r in result.trace[:3]]
+        trace, sink = collecting_sink()
+        counter_scenario(env, trace=sink)
+        head = [(actor, message, t) for t, actor, message in trace[:3]]
         assert head == [
             ("The operator", "fell asleep", 0.0),
             ("Customer", "arrived", 0.0),
@@ -462,49 +463,54 @@ class TestCounter:
 
     def test_departures_follow_arrival_order(self):
         env = Environment(5)
-        result = counter_scenario(env, n_customers=50)
+        result = counter_scenario(env, n_customers=50, trace=collecting_sink()[1])
         resolved = sorted(result.customers, key=lambda c: (c.departure, c.index))
         assert [c.index for c in resolved] == list(range(50))
         assert all(c.departure is not None for c in result.customers)
 
     def test_successful_service_takes_exactly_the_service_delay(self):
         env = Environment(5)
-        result = counter_scenario(env, n_customers=50)
+        result = counter_scenario(env, n_customers=50, trace=collecting_sink()[1])
         for c in result.customers:
             assert c.departure == c.service_start + 10.0
 
     def test_failed_customers_traced_and_flagged(self):
         env = Environment(1)
-        result = counter_scenario(env, n_customers=200)
+        trace, sink = collecting_sink()
+        result = counter_scenario(env, n_customers=200, trace=sink)
         failures = [c for c in result.customers if c.failed]
         assert failures, "with 200 customers some services should fail"
-        failed_lines = [r for r in result.trace if r.message == "failed (and left)"]
+        failed_lines = [m for _, _, m in trace if m == "failed (and left)"]
         assert len(failed_lines) == len(failures)
 
     def test_trace_times_nondecreasing(self):
         env = Environment(9)
-        result = counter_scenario(env, n_customers=40)
-        times = [r.time for r in result.trace]
+        trace, sink = collecting_sink()
+        counter_scenario(env, n_customers=40, trace=sink)
+        times = [t for t, _, _ in trace]
         assert times == sorted(times)
 
     def test_run_ends_with_operator_asleep_and_queue_exhausted(self):
         env = Environment(3)
-        result = counter_scenario(env)
+        trace, sink = collecting_sink()
+        result = counter_scenario(env, trace=sink)
         assert result.outcome.exhausted
-        assert result.trace[-2].message in ("fell asleep", "left", "failed (and left)")
+        assert trace[-2][2] in ("fell asleep", "left", "failed (and left)")
 
     def test_config_validation(self):
         # Every bad count is a ValueError, not a TypeError from comparing it.
         for n in (0, -1, 2.5, "3"):
             with pytest.raises(ValueError,
                                match=f"n_customers must be an integer >= 1, got {n!r}"):
-                counter_scenario(Environment(0), n_customers=n)
+                counter_scenario(Environment(0), n_customers=n,
+                                 trace=collecting_sink()[1])
 
     def test_horizon_cuts_the_scenario_short(self):
         env = Environment(3)
-        result = counter_scenario(env, until=5.0)
+        trace, sink = collecting_sink()
+        result = counter_scenario(env, until=5.0, trace=sink)
         assert not result.outcome.exhausted and result.outcome.at == 5.0
-        assert all(r.time <= 5.0 for r in result.trace)
+        assert all(t <= 5.0 for t, _, _ in trace)
         assert any(c.departure is None for c in result.customers)
 
 
@@ -520,10 +526,11 @@ class TestRecordValues:
             party.bowl = Container(env, init=1.0, capacity=1.0)
 
     def test_counter_result_repr_and_equality(self):
-        result = counter_scenario(Environment(3), n_customers=2)
-        assert result == CounterResult(result.trace, result.customers, result.outcome)
+        result = counter_scenario(Environment(3), n_customers=2,
+                                  trace=collecting_sink()[1])
+        assert result == CounterResult(result.customers, result.outcome)
         assert repr(result).startswith(
-            "CounterResult(trace=[TraceRecord(time=0.0, actor='The operator', ")
+            "CounterResult(customers=[CustomerRecord(index=0, ")
         assert result.outcome.exhausted
 
     def test_customer_record_is_a_mutable_value(self):
@@ -535,3 +542,11 @@ class TestRecordValues:
         assert record != CustomerRecord(4)
         copy = pickle.loads(pickle.dumps(record))
         assert copy == record and type(copy) is CustomerRecord
+
+    def test_customer_record_compares_only_with_customer_records(self):
+        from unittest import mock
+        record = CustomerRecord(4)
+        assert record != (4, None, None, None, False)
+        assert record == mock.ANY  # another type's __eq__ gets its turn
+        with pytest.raises(TypeError):
+            hash(record)  # mutable, so unhashable
