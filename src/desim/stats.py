@@ -85,8 +85,20 @@ def derive_seed(base_seed: int, variant: str, n: int) -> int:
     return int.from_bytes(hashlib.sha256(text).digest()[:8], "big")
 
 
-def _run_cell(cell: tuple[int, float, str, int]) -> SweepResult:
-    return simulate(*cell)
+def _take_cells(queue: list[tuple[int, tuple]], taken, conn) -> None:
+    rows = []
+    try:
+        while True:
+            with taken.get_lock():
+                k = taken.value
+                taken.value = k + 1
+            if k >= len(queue):
+                break
+            i, cell = queue[k]
+            rows.append((i, simulate(*cell)))  # the global, which a tracer may wrap
+    except Exception as exc:  # the parent re-raises it
+        rows = exc
+    conn.send(rows)
 
 
 def sweep(variant: str, n_values: Iterable[int], t: float,
@@ -96,7 +108,9 @@ def sweep(variant: str, n_values: Iterable[int], t: float,
     Results are ordered by (n, seed position). Each cell's seed is derived
     from its own coordinates, so a cell rerun alone matches its sweep row and
     cells may run in parallel (``workers`` > 1) without affecting results.
-    No more workers are started than there are cells or CPUs.
+    No more workers are started than there are cells or CPUs. Each is one
+    process that takes cells largest party first, as it comes free, and
+    sends all of its rows back in one message.
     """
     ns = list(n_values)
     bases = list(seeds)
@@ -104,18 +118,42 @@ def sweep(variant: str, n_values: Iterable[int], t: float,
         raise ValueError("sweep needs at least one party size and one seed")
     if not isinstance(workers, int) or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    for base in bases:
+        if type(base) is not int:  # a bool or a float would hash as other text
+            raise ValueError(f"seeds must be integers, got {base!r}")
     from .scenarios import check_party
     _check_horizon(t)
     check_party(variant, *ns)
     cells = [(n, t, variant, derive_seed(base, variant, n))
              for n in ns for base in bases]
     workers = min(workers, len(cells), os.cpu_count() or 1)
-    if workers > 1:
-        from multiprocessing import Pool
+    if workers == 1:
+        return [simulate(*cell) for cell in cells]
+    import multiprocessing
 
-        with Pool(workers) as pool:
-            return pool.map(_run_cell, cells, chunksize=1)
-    return [_run_cell(cell) for cell in cells]
+    queue = sorted(enumerate(cells), key=lambda cell: -cell[1][0])  # cost grows with n
+    taken = multiprocessing.Value("l", 0)
+    rows = []
+    children = []
+    try:
+        for _ in range(workers):
+            receiver, sender = multiprocessing.Pipe(duplex=False)
+            child = multiprocessing.Process(target=_take_cells, args=(queue, taken, sender),
+                                            daemon=True)
+            child.start()
+            children.append((child, receiver))
+            sender.close()  # so a worker that dies unheard reads as EOFError
+        for _, receiver in children:
+            got = receiver.recv()
+            if isinstance(got, Exception):
+                raise got
+            rows += got
+    finally:
+        for child, receiver in children:
+            child.terminate()
+            child.join()
+            receiver.close()
+    return [row for _, row in sorted(rows)]
 
 
 CSV_HEADER = "variant,n,t,seed,mean_waiting,deadlocked"

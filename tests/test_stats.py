@@ -1,6 +1,7 @@
 """Seeded randomness, sweep harness, CSV round-trip, and the M/M/1 oracle."""
 
 import math
+import multiprocessing
 import os
 import pickle
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from desim import Rng
+from desim import Rng, stats
 from desim.stats import (
     CSV_HEADER,
     MM1Params,
@@ -191,14 +192,7 @@ class TestSweep:
             sweep("ordered", [2], 100.0, [0], workers=workers)
 
     @pytest.mark.parametrize("t", [math.inf, math.nan, 0.0, -1.0])
-    def test_bad_horizon_rejected_before_any_pool(self, t, monkeypatch):
-        import multiprocessing
-
-        class NoPool:
-            def __init__(self, processes):
-                raise AssertionError("a pool was started")
-
-        monkeypatch.setattr(multiprocessing, "Pool", NoPool)
+    def test_bad_horizon_rejected_before_any_pool(self, t, no_workers):
         with pytest.raises(ValueError, match="horizon must be finite and > 0"):
             sweep("ordered", [2, 3], t, [0], workers=2)
 
@@ -206,63 +200,126 @@ class TestSweep:
         with pytest.raises(ValueError, match=r"workers must be an integer >= 1, got 2\.5"):
             sweep("ordered", [2], 100.0, [0], workers=2.5)
 
+    @pytest.mark.parametrize("base", [1.0, True, "a"])
+    def test_non_integer_seed_rejected_before_any_pool(self, base, no_workers):
+        # 1.0 would hash as "1.0:ordered:2", a different cell from seed 1.
+        with pytest.raises(ValueError, match=rf"seeds must be integers, got {base!r}"):
+            sweep("ordered", [2], 100.0, [0, base], workers=2)
+
     @pytest.mark.parametrize("variant, ns, message", [
         ("bogus", [2, 3], "unknown variant 'bogus'"),
         ("ordered", [1, 2], "a party needs at least 2 philosophers, got 1"),
         ("ordered", [2, 1], "a party needs at least 2 philosophers, got 1"),
     ])
-    def test_bad_party_rejected_before_any_pool(self, variant, ns, message, monkeypatch):
-        import multiprocessing
-
-        class NoPool:
-            def __init__(self, processes):
-                raise AssertionError("a pool was started")
-
-        monkeypatch.setattr(multiprocessing, "Pool", NoPool)
+    def test_bad_party_rejected_before_any_pool(self, variant, ns, message, no_workers):
         with pytest.raises(ValueError, match=message):
             sweep(variant, ns, 100.0, [0], workers=2)
 
-    def test_pool_never_exceeds_the_cell_count(self, monkeypatch):
-        import multiprocessing
-
-        sizes = []
-
-        class SerialPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, cells, chunksize=1):
-                return [fn(cell) for cell in cells]
-
-        monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    def test_pool_never_exceeds_the_cell_count(self, monkeypatch, inline_workers):
         monkeypatch.setattr(os, "cpu_count", lambda: 64)  # only the cell cap binds
         one = sweep("ordered", [2], 100.0, [0], workers=64)
         two = sweep("ordered", [2, 3], 100.0, [0], workers=64)
-        assert sizes == [2]
+        assert len(inline_workers) == 2
         assert one == sweep("ordered", [2], 100.0, [0])
         assert two == sweep("ordered", [2, 3], 100.0, [0])
 
-    def test_pool_never_exceeds_the_cpu_count(self, monkeypatch):
-        import multiprocessing
+    def test_pool_never_exceeds_the_cpu_count(self, monkeypatch, inline_workers):
+        def no_cell(n, t, variant, seed):
+            raise RuntimeError("no cell runs in this test")
 
-        sizes = []
-
-        class NoPool:
-            def __init__(self, processes):
-                sizes.append(processes)
-                raise RuntimeError("no pool in this test")
-
-        monkeypatch.setattr(multiprocessing, "Pool", NoPool)
+        monkeypatch.setattr(stats, "simulate", no_cell)
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        with pytest.raises(RuntimeError, match="no pool"):
+        with pytest.raises(RuntimeError, match="no cell runs"):
             sweep("ordered", range(2, 600), 10.0, range(10), workers=5000)
-        assert sizes == [2]
+        assert len(inline_workers) == 2
+
+    def test_cells_are_taken_largest_party_first(self, monkeypatch, inline_workers):
+        # The first inline worker runs before the second starts, so it takes
+        # every cell, and the second finds none left.
+        taken = []
+        real = stats.simulate
+
+        def logged(n, t, variant, seed):
+            taken.append(n)
+            return real(n, t, variant, seed)
+
+        monkeypatch.setattr(stats, "simulate", logged)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        rows = sweep("ordered", [3, 2, 5, 4], 100.0, [0, 1], workers=2)
+        assert taken == [5, 5, 4, 4, 3, 3, 2, 2]
+        assert len(inline_workers) == 2
+        monkeypatch.setattr(stats, "simulate", real)
+        assert rows == sweep("ordered", [3, 2, 5, 4], 100.0, [0, 1])
+
+    @pytest.mark.parametrize("variant, ns, bases", [
+        ("classic", range(2, 7), [0, 1, 2]),  # cells deadlock at different times
+        ("ordered", range(2, 9), [0, 1, 2]),  # 21 cells: an odd count
+    ])
+    def test_parallel_rows_match_serial_rows(self, variant, ns, bases):
+        serial = sweep(variant, ns, 3000.0, bases)
+        assert sweep(variant, ns, 3000.0, bases, workers=2) == serial
+        assert multiprocessing.active_children() == []
+        if variant == "classic":
+            assert len({r.exhausted_at for r in serial}) > 2
+
+    def test_worker_error_is_raised_in_the_parent(self, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers see the patched simulate only when forked")
+        real = stats.simulate
+
+        def fails_at_three(n, t, variant, seed):
+            if n == 3:
+                raise RuntimeError("cell 3")
+            return real(n, t, variant, seed)
+
+        monkeypatch.setattr(stats, "simulate", fails_at_three)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(RuntimeError, match="^cell 3$"):
+            sweep("ordered", [2, 3, 4], 500.0, [0, 1], workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_that_dies_unheard_fails_the_sweep(self, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers see the patched simulate only when forked")
+        monkeypatch.setattr(stats, "simulate", lambda *cell: os._exit(3))
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with pytest.raises(EOFError):
+            sweep("ordered", [2, 3, 4], 500.0, [0], workers=2)
+        assert multiprocessing.active_children() == []
+
+
+@pytest.fixture
+def no_workers(monkeypatch):
+    """Fail the test if a sweep starts a worker process."""
+    class NoProcess:
+        def __init__(self, *args, **kwargs):
+            raise AssertionError("a worker was started")
+
+    monkeypatch.setattr(multiprocessing, "Process", NoProcess)
+
+
+@pytest.fixture
+def inline_workers(monkeypatch):
+    """Run each sweep worker in this process when started; lists the workers."""
+    started = []
+
+    class InlineProcess:
+        def __init__(self, target, args, daemon):
+            assert daemon
+            started.append(self)
+            self.target, self.args = target, args
+
+        def start(self):
+            self.target(*self.args)
+
+        def terminate(self):
+            pass
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(multiprocessing, "Process", InlineProcess)
+    return started
 
 
 class TestCsv:
