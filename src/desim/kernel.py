@@ -215,10 +215,9 @@ class Environment:
         event._sched_priority = priority
         heappush(self._queue, (time, priority, event.eid, event))
 
-    def timeout(self, delay: float, value: Any = None) -> Event:
-        """Event that succeeds ``delay`` time units from now."""
+    def timeout(self, delay: float) -> Event:
+        """Event that succeeds, with value ``None``, ``delay`` time units from now."""
         ev = Event(self)
-        ev._value = value
         self.schedule(ev, NORMAL, delay)
         return ev
 

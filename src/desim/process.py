@@ -32,29 +32,23 @@ class Process(Event):
 
     The completion succeeds with the body's return value or fails with the
     exception the body raised; a ``MemoryError`` ends the run instead.
-    ``alive`` is true from spawn until the completion event has been processed.
+    A body that is not a generator object is a ``TypeError``, queueing nothing.
     """
 
     __slots__ = ("name", "_body", "_awaiting")
 
     def __init__(self, env: Environment, body: Generator[Event, Any, Any],
                  name: str | None = None):
-        if type(body) is not GeneratorType and not (
-                hasattr(body, "send") and hasattr(body, "throw")):
+        if type(body) is not GeneratorType:
             raise TypeError(f"process body must be a generator, got {body!r}")
         Event.__init__(self, env)
-        self.name = name or getattr(body, "__name__", None) or f"process-{self.eid}"
+        self.name = name or body.__name__
         self._body = body
         # The start is the first event the process waits for: an urgent success now.
         start = Event(env)
         start.callbacks.append(self._resume)
         env.schedule(start, URGENT, 0.0)
         self._awaiting: Event = start
-
-    @property
-    def alive(self) -> bool:
-        """True between spawn and the processing of the completion event."""
-        return self.callbacks is not None
 
     def interrupt(self, cause: Any = None) -> None:
         """Resume the process exceptionally with ``cause`` at its yield point.

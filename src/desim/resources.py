@@ -27,7 +27,7 @@ class Resource:
     """Renewable resource shared by at most ``capacity`` users at a time."""
 
     def __init__(self, env: Environment, capacity: int = 1):
-        if not isinstance(capacity, int) or capacity < 1:
+        if type(capacity) is not int or capacity < 1:
             raise ValueError(f"capacity must be an integer >= 1, got {capacity!r}")
         self.env = env
         self.capacity = capacity

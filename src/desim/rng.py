@@ -22,13 +22,9 @@ class Rng:
     __slots__ = ("_mt",)
 
     def __init__(self, seed: int):
-        if not isinstance(seed, int) or seed < 0:
+        if type(seed) is not int or seed < 0:
             raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
         self._mt = random.Random(seed)
-
-    def random(self) -> float:
-        """Uniform float in [0, 1)."""
-        return self._mt.random()
 
     def expovariate_mean(self, mean: float) -> float:
         """Exponential variate with the given mean (rate 1/mean).

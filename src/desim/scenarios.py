@@ -93,8 +93,9 @@ class Philosopher:
 
     The whole cycle, hungry spell included, runs in the diner's one process;
     a diner who gives up on the rice puts both chopsticks back and thinks.
-    The pair is picked up in the order given (``build_party`` decides it),
-    and a diner has a bowl exactly when its variant eats rice.
+    The pair is picked up in the order given (``build_party`` decides it).
+    A diner with a ``bowl`` takes a meal of rice before eating; an
+    ``impatient`` one (which needs a bowl) gives up after ``MAX_FOOD_WAIT``.
 
     Instruments itself with the accumulated ``waiting`` time between wanting
     to eat and having everything needed to eat, the meal/give-up counters
@@ -103,22 +104,18 @@ class Philosopher:
     in which case the diner makes no trace call at all.
     """
 
-    def __init__(self, env: Environment, chopsticks, my_id: int,
-                 variant: str = "classic",
-                 bowl: Container | None = None,
+    def __init__(self, env: Environment, chopsticks, my_id: int, *,
+                 bowl: Container | None = None, impatient: bool = False,
                  trace: Callable[[float, str, str], object] | None = None):
-        check_party(variant)
         pair = tuple(chopsticks)
         if len(pair) != 2 or pair[0] is pair[1]:
             raise ValueError("a philosopher needs two different chopsticks")
-        eats_rice = variant in RICE_VARIANTS
-        if (bowl is None) == eats_rice:
-            raise ValueError(f"{variant} philosophers "
-                             f"{'need a' if eats_rice else 'take no'} bowl")
+        if impatient and bowl is None:
+            raise ValueError("impatient philosophers need a bowl")
         self.env = env
-        self.variant = variant
         self.chopsticks = pair
         self.bowl = bowl
+        self.impatient = impatient
         self.waiting = 0.0
         self.meals = 0
         self.meal_size = PORTION
@@ -135,8 +132,7 @@ class Philosopher:
         rng = env.rng
         first, second = self.chopsticks
         emit, label = self._trace, self._label
-        bowl = self.bowl
-        impatient = self.variant == "impatient"
+        bowl, impatient = self.bowl, self.impatient
         while True:
             yield env.timeout(rng.expovariate_mean(THINK_MEAN))
             self.state = PhilosopherState.HUNGRY
@@ -248,7 +244,8 @@ def build_party(env: Environment, n: int, variant: str,
     if variant != "classic":
         seats = [sorted(seat) for seat in seats]
     philosophers = [
-        Philosopher(env, (chopsticks[a], chopsticks[b]), i, variant, bowl, trace)
+        Philosopher(env, (chopsticks[a], chopsticks[b]), i, bowl=bowl,
+                    impatient=variant == "impatient", trace=trace)
         for i, (a, b) in enumerate(seats)
     ]
     return Party(philosophers, chopsticks, bowl, chef)
@@ -305,7 +302,7 @@ def counter_scenario(env: Environment, n_customers: int = 10,
     step goes to the sink ``trace(time, actor, message)``, as a diner's does.
     The log holds one record per customer who arrived by the horizon.
     """
-    if not isinstance(n_customers, int) or n_customers < 1:
+    if type(n_customers) is not int or n_customers < 1:
         raise ValueError(f"n_customers must be an integer >= 1, got {n_customers!r}")
     line: deque[tuple[Event, CustomerRecord]] = deque()
     records: list[CustomerRecord] = []

@@ -116,7 +116,7 @@ def sweep(variant: str, n_values: Iterable[int], t: float,
     bases = list(seeds)
     if not ns or not bases:
         raise ValueError("sweep needs at least one party size and one seed")
-    if not isinstance(workers, int) or workers < 1:
+    if type(workers) is not int or workers < 1:
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     for base in bases:
         if type(base) is not int:  # a bool or a float would hash as other text
@@ -218,7 +218,7 @@ def mm1_simulate(params: MM1Params, n_customers: int, seed: int = 0) -> float:
     Poisson arrivals at ``arrival_rate``, exponential service at
     ``service_rate``; the wait is measured from request to grant.
     """
-    if not isinstance(n_customers, int) or n_customers < 1:
+    if type(n_customers) is not int or n_customers < 1:
         raise ValueError(f"n_customers must be an integer >= 1, got {n_customers!r}")
     env = Environment(seed)
     server = Resource(env, capacity=1)
@@ -247,7 +247,7 @@ def mm1_simulate(params: MM1Params, n_customers: int, seed: int = 0) -> float:
 
 def exponential_ks(seed: int, mean: float, n: int) -> float:
     """Kolmogorov-Smirnov distance of ``n`` draws of ``Rng(seed)`` from Exp(mean)."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ValueError(f"n must be an integer >= 1, got {n!r}")
     rng = Rng(seed)
     draws = sorted(rng.expovariate_mean(mean) for _ in range(n))

@@ -102,15 +102,14 @@ class TestPlainEvent:
 class TestTimeout:
     def test_triggered_at_creation_then_processed(self):
         env = Environment(0)
-        value = object()
-        ev = env.timeout(2.0, value)
+        ev = env.timeout(2.0)
         assert_stage(ev, "triggered")
         assert_not_pending(env, ev)
         env.run(until=1.0)
         assert_stage(ev, "triggered")
         env.run()
         assert env.now == 2.0
-        assert_stage(ev, "succeeded", value=value)
+        assert_stage(ev, "succeeded", value=None)
         assert_not_pending(env, ev)
         assert_processed_rejects_callbacks(ev)
 

@@ -2,6 +2,7 @@
 what importing it costs."""
 
 import os
+import re
 import subprocess
 import sys
 
@@ -67,3 +68,19 @@ def test_each_entry_point_loads_only_the_layers_it_runs():
             capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout == "False\n", unused
+
+
+def test_readme_library_sketch_runs():
+    """The README's library sketch runs as printed, so an API trim cannot
+    leave it broken unnoticed."""
+    src = os.path.dirname(os.path.dirname(desim.__file__))
+    with open(os.path.join(os.path.dirname(src), "README.md"), encoding="utf-8") as f:
+        readme = f.read()
+    section = readme.split("\n## Library sketch\n", 1)[1]
+    sketch = section.split("```python\n", 1)[1].split("\n```", 1)[0]
+    done = subprocess.run([sys.executable, "-c", sketch], capture_output=True,
+                          text=True, timeout=60, env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 2
+    assert all(re.fullmatch(r"\w+ done at \d+\.\d{3}", line) for line in lines), lines

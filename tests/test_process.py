@@ -23,7 +23,7 @@ class TestSpawn:
             started.append((i, env.now))
             yield env.timeout(1.0)
         handles = [spawn(env, body(i)) for i in range(5)]
-        assert all(h.alive for h in handles)
+        assert not any(h.processed for h in handles)
         env.run(until=0.0)
         assert started == [(i, 0.0) for i in range(5)]
 
@@ -38,26 +38,22 @@ class TestSpawn:
         assert env.now == 0.0
 
     def test_non_generator_rejected(self):
-        env = Environment(0)
-        with pytest.raises(TypeError):
-            spawn(env, lambda: None)
-
-    def test_body_with_send_and_throw_is_accepted(self):
-        env = Environment(0)
-        class Delegating:
-            def __init__(self, gen):
-                self._gen = gen
+        class SendThrow:  # no close, which ending a body needs
             def send(self, value):
-                return self._gen.send(value)
+                raise StopIteration
             def throw(self, exc):
-                return self._gen.throw(exc)
-        def body():
-            yield env.timeout(2.0)
-            return "done"
-        handle = spawn(env, Delegating(body()))
-        env.run()
-        assert handle.succeeded and handle.value == "done"
-        assert env.now == 2.0
+                raise exc
+        async def coroutine():
+            pass
+        never_awaited = coroutine()
+        try:
+            for body in (lambda: None, SendThrow(), never_awaited):
+                env = Environment(0)
+                with pytest.raises(TypeError, match="must be a generator"):
+                    spawn(env, body)
+                assert env.step() is False  # nothing was queued
+        finally:
+            never_awaited.close()  # silences the never-awaited warning
 
     def test_body_with_send_but_no_throw_is_rejected(self):
         env = Environment(0)
@@ -76,6 +72,7 @@ class TestSpawn:
         assert repr(handle) == f"<Process 'worker' #{handle.eid} pending>"
         env.run()
         assert repr(handle) == f"<Process 'worker' #{handle.eid} processed>"
+        assert spawn(env, body()).name == "body"  # unnamed: the generator's name
 
 
 class TestSuspension:
@@ -147,7 +144,7 @@ class TestSuspension:
         outcome = env.run()
         assert caught == [(0.0, raised.value)]
         assert kid.failed and kid.failure_cause is raised.value
-        assert not kid.alive and not dad.alive
+        assert kid.processed and dad.processed
         assert outcome.exhausted
 
     def test_contract_violation_does_not_strand_other_waiters(self):
@@ -171,7 +168,7 @@ class TestSuspension:
         assert tick in processed
         assert resumed == [1.0]
         env.run()
-        assert other.succeeded and not other.alive
+        assert other.succeeded and other.processed
 
     def test_yield_own_completion_is_contract_violation(self):
         env = Environment(0)
@@ -290,11 +287,11 @@ class TestSubprocess:
         def body():
             yield env.timeout(3.0)
         handle = spawn(env, body())
-        assert handle.alive
+        assert not handle.processed
         env.run(until=2.0)
-        assert handle.alive
+        assert not handle.processed
         env.run()
-        assert not handle.alive
+        assert handle.processed
 
 
 class TestInterrupt:

@@ -114,7 +114,7 @@ class TestPhilosopher:
         bowl = Container(env, init=0.0, capacity=1000.0)  # starved, no chef
         ph = make_solo_philosopher(
             env,
-            variant="impatient",
+            impatient=True,
             bowl=bowl,
         )
         transitions = watch_transitions(env, [ph])
@@ -123,25 +123,18 @@ class TestPhilosopher:
         assert GIVE_UP_TRANSITION in edges
         assert (PhilosopherState.HUNGRY_WITH_ONE, PhilosopherState.EATING) not in edges
 
-    def test_unknown_variant_rejected(self):
-        env = Environment(0)
-        with pytest.raises(ValueError, match="unknown variant"):
-            make_solo_philosopher(env, variant="banquet")
-
-    @pytest.mark.parametrize("variant, with_bowl", [
-        ("bowl", False), ("ordered", True), ("classic", True),
-    ])
-    def test_bowl_must_match_variant(self, variant, with_bowl):
-        env = Environment(0)
-        bowl = Container(env, init=100.0, capacity=100.0) if with_bowl else None
-        with pytest.raises(ValueError, match="bowl"):
-            make_solo_philosopher(env, variant=variant, bowl=bowl)
-
     def test_same_chopstick_twice_rejected(self):
         env = Environment(0)
         chopstick = Resource(env, 1)
         with pytest.raises(ValueError, match="two different chopsticks"):
-            Philosopher(env, (chopstick, chopstick), 0, "ordered")
+            Philosopher(env, (chopstick, chopstick), 0)
+
+    def test_options_are_keyword_only(self):
+        env = Environment(0)
+        bowl = Container(env, init=100.0, capacity=100.0)
+        with pytest.raises(TypeError):
+            Philosopher(env, (Resource(env, 1), Resource(env, 1)), 0, "bowl", bowl)
+        assert env.step() is False  # no diner was spawned
 
 
 class TestClassicDeadlock:
@@ -242,7 +235,7 @@ class TestBowlAndChef:
         env = Environment(3)
         trace, sink = collecting_sink()
         bowl = Container(env, init=1000.0, capacity=1000.0)
-        make_solo_philosopher(env, variant="bowl", bowl=bowl, trace=sink)
+        make_solo_philosopher(env, bowl=bowl, trace=sink)
         env.run(until=30.0)
         assert "reserved food" in [message for _, _, message in trace]
         assert bowl.level <= 980.0
@@ -298,7 +291,7 @@ class TestImpatient:
         bowl = Container(env, init=0.0, capacity=1000.0)  # chef never spawned
         ph = make_solo_philosopher(
             env,
-            variant="impatient",
+            impatient=True,
             bowl=bowl,
             trace=sink,
         )
@@ -321,7 +314,7 @@ class TestImpatient:
         bowl = Container(env, init=0.0, capacity=1000.0)
         ph = make_solo_philosopher(
             env,
-            variant="impatient",
+            impatient=True,
             bowl=bowl,
         )
         env.run(until=200.0)
@@ -334,7 +327,7 @@ class TestImpatient:
         bowl = Container(env, init=0.0, capacity=1000.0)
         ph = make_solo_philosopher(
             env,
-            variant="impatient",
+            impatient=True,
             bowl=bowl,
         )
         transitions = watch_transitions(env, [ph])
@@ -362,7 +355,7 @@ class TestImpatient:
         Chef(env, bowl)
         ph = make_solo_philosopher(
             env,
-            variant="impatient",
+            impatient=True,
             bowl=bowl,
             trace=sink,
         )
@@ -383,7 +376,7 @@ class TestImpatient:
         bowl = Container(env, init=1000.0, capacity=1000.0)
         ph = make_solo_philosopher(
             env,
-            variant="impatient",
+            impatient=True,
             bowl=bowl,
         )
         env.run(until=400.0)
@@ -392,8 +385,9 @@ class TestImpatient:
 
     def test_impatient_requires_bowl(self):
         env = Environment(0)
-        with pytest.raises(ValueError):
-            make_solo_philosopher(env, variant="impatient")
+        with pytest.raises(ValueError, match="impatient philosophers need a bowl"):
+            make_solo_philosopher(env, impatient=True)
+        assert env.step() is False  # no diner was spawned
 
     def test_everyone_satisfies_escalation_ledger_in_a_real_party(self):
         env = Environment(8)

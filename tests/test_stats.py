@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from desim import Rng, stats
+from desim import Environment, Resource, Rng, stats
+from desim.scenarios import counter_scenario
 from desim.stats import (
     CSV_HEADER,
     MM1Params,
@@ -442,3 +443,21 @@ class TestRecordValues:
         assert params._replace(arrival_rate=0.01) == MM1Params(0.01, 0.1)
         with pytest.raises(ValueError, match="need 0 < arrival_rate < service_rate"):
             params._replace(arrival_rate=0.2)
+
+
+# True is an int to isinstance, but it is no count or seed: it used to reach
+# the CSV seed column as "True", open a server for one customer, and so on.
+@pytest.mark.parametrize("call, message", [
+    (lambda: Rng(True), "seed must be an integer >= 0, got True"),
+    (lambda: simulate(2, 100.0, "ordered", True), "seed must be an integer >= 0"),
+    (lambda: Resource(Environment(0), True), "capacity must be an integer >= 1"),
+    (lambda: counter_scenario(Environment(0), True, trace=print),
+     "n_customers must be an integer >= 1, got True"),
+    (lambda: mm1_simulate(MM1Params(0.09, 0.1), True), "n_customers must be an integer"),
+    (lambda: exponential_ks(0, 10.0, True), "n must be an integer >= 1, got True"),
+    (lambda: sweep("ordered", [2], 100.0, [0], workers=True), "workers must be an integer"),
+], ids=["rng-seed", "simulate-seed", "capacity", "counter-customers",
+        "mm1-customers", "ks-draws", "sweep-workers"])
+def test_bool_is_not_an_integer_input(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
