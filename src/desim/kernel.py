@@ -59,6 +59,11 @@ class UnhandledFailureError(KernelError):
         who = f"process {process_name!r}" if process_name else "an event"
         super().__init__(f"unhandled failure in {who}: {cause!r}")
 
+    def __reduce__(self):
+        # Rebuild from the constructor's arguments, not from the message, so
+        # a copy sent back from a sweep worker reads the same.
+        return (type(self), (self.cause, self.process_name))
+
 
 class Event:
     """One-shot occurrence with a pending -> triggered -> processed lifecycle.
@@ -123,7 +128,11 @@ class Event:
 
     @property
     def schedule_key(self) -> tuple[float, int, int] | None:
-        """(time, priority, sequence) this event was queued under, if any."""
+        """(time, priority, sequence) this event was queued under, if any.
+
+        A process completion that nobody waits on is processed in place, not
+        queued; its key is the one it would have had: (now, NORMAL, eid).
+        """
         if self._sched_time is None:
             return None
         return (self._sched_time, self._sched_priority, self.eid)
@@ -182,9 +191,10 @@ class Environment:
         self._queue: list[tuple[float, int, int, Event]] = []
         self._eids = itertools.count()
         self.rng = Rng(seed)
-        # Optional instrumentation: called with each event right after its
-        # callbacks have run. Used by invariant-checking tests; None-cost
-        # when unset.
+        # Optional instrumentation: called with each event that step pops,
+        # right after its callbacks have run (a process completion nobody
+        # waits on is never queued, so never seen). Used by invariant-checking
+        # tests; None-cost when unset.
         self.on_processed: Optional[Callable[[Event], None]] = None
 
     @property
@@ -228,7 +238,9 @@ class Environment:
         and runs its callbacks in registration order. A callback that raises
         does not stop the others: the first error is raised once all have run
         and ``on_processed`` has seen the event. A failure outcome that no
-        waiter observes raises :class:`UnhandledFailureError`.
+        waiter observes raises :class:`UnhandledFailureError`. Only queued
+        events pass through here: a process completion that nobody waits on
+        is processed by the step that ran its body, unseen by the hook.
         """
         if not self._queue:
             return False

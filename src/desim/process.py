@@ -14,7 +14,7 @@ from __future__ import annotations
 from types import GeneratorType
 from typing import Any, Generator
 
-from .kernel import URGENT, Environment, Event, LifecycleError
+from .kernel import NORMAL, URGENT, Environment, Event, LifecycleError
 
 __all__ = ["Process", "Interrupted", "spawn"]
 
@@ -33,6 +33,12 @@ class Process(Event):
     The completion succeeds with the body's return value or fails with the
     exception the body raised; a ``MemoryError`` ends the run instead.
     A body that is not a generator object is a ``TypeError``, queueing nothing.
+
+    A failure, or a success that someone already waits on, is queued at the
+    current time like any triggered event. A success that nobody waits on is
+    processed in place, in the step that ran the body: it is never queued, so
+    ``on_processed`` does not see it, and a process that yields the handle
+    later continues at once with the return value.
     """
 
     __slots__ = ("name", "_body", "_awaiting")
@@ -93,7 +99,13 @@ class Process(Event):
                     event._observed = True
                     target = body.throw(event._value)
             except StopIteration as stop:
-                self.succeed(stop.value)
+                self._value = stop.value
+                if self.callbacks:
+                    self.env.schedule(self)
+                else:  # nobody waits: processed in place, never queued
+                    self._sched_time = self.env._now
+                    self._sched_priority = NORMAL
+                    self.callbacks = None
                 return
             except MemoryError:
                 raise

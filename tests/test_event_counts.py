@@ -19,7 +19,7 @@ from desim import (
     spawn,
 )
 from desim import stats
-from desim.scenarios import build_party
+from desim.scenarios import build_party, counter_scenario
 
 
 def processed_count(env):
@@ -47,9 +47,10 @@ class TestEventCounts:
         env.run(until=5e4)
         assert count() == events
 
-    def test_mm1_processes_five_events_per_customer_plus_two(self, monkeypatch):
-        # Per customer: start, grant, service timeout, arrival gap, completion;
-        # plus the arrivals process's start and completion.
+    def test_mm1_processes_four_events_per_customer_plus_one(self, monkeypatch):
+        # Per customer: start, grant, service timeout and arrival gap; plus
+        # the arrivals process's start. Nobody joins a customer or the
+        # arrivals, so their completions are processed in place, unqueued.
         counters = []
 
         class CountingEnvironment(Environment):
@@ -60,7 +61,13 @@ class TestEventCounts:
         monkeypatch.setattr(stats, "Environment", CountingEnvironment)
         stats.mm1_simulate(stats.MM1Params(0.09, 0.1), 5_000, seed=1)
         [count] = counters
-        assert count() == 5 * 5_000 + 2
+        assert count() == 4 * 5_000 + 1
+
+    def test_counter_event_count_is_pinned(self):
+        env = Environment(7)
+        count = processed_count(env)
+        counter_scenario(env, 2000, trace=lambda time, actor, message: None)
+        assert count() == 8_099
 
 
 class TestInterceptionContract:

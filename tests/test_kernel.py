@@ -1,5 +1,6 @@
 """Event lifecycle, scheduling order, and run-loop semantics."""
 
+import pickle
 import random
 import time
 
@@ -221,6 +222,14 @@ class TestOutcome:
         ev.fail(RuntimeError("nobody listens"))
         with pytest.raises(UnhandledFailureError):
             env.run()
+
+    def test_unhandled_failure_error_survives_pickling(self):
+        # A sweep worker sends its error to the parent through a pipe.
+        error = UnhandledFailureError(ValueError("boom"), "p1")
+        copy = pickle.loads(pickle.dumps(error))
+        assert str(copy) == str(error) == "unhandled failure in process 'p1': ValueError('boom')"
+        assert copy.process_name == "p1"
+        assert type(copy.cause) is ValueError and copy.cause.args == ("boom",)
 
 
 class TestCallbacks:

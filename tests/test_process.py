@@ -3,6 +3,7 @@
 import pytest
 
 from desim import (
+    NORMAL,
     Environment,
     Interrupted,
     LifecycleError,
@@ -292,6 +293,45 @@ class TestSubprocess:
         assert not handle.processed
         env.run()
         assert handle.processed
+
+
+class TestUnwatchedCompletion:
+    """A body that returns while nobody waits on it is processed in place."""
+
+    def test_processed_in_the_step_that_ran_the_body_and_never_queued(self):
+        env = Environment(0)
+        processed = []
+        env.on_processed = processed.append
+        def body():
+            yield env.timeout(2.0)
+            return "done"
+        handle = spawn(env, body())
+        env.step()  # the start
+        env.step()  # the timeout: the body returns
+        assert handle.processed and handle.value == "done"
+        assert env._queue == []
+        assert handle not in processed
+        assert handle.schedule_key == (2.0, NORMAL, handle.eid)
+        assert env.run().at == 2.0
+
+    def test_a_later_join_continues_in_the_same_step(self):
+        env = Environment(0)
+        tick, tock = env.timeout(1.0), env.timeout(1.0)
+        seen = []
+        def child():
+            yield tick
+            return 7
+        kid = spawn(env, child())
+        def joiner():
+            yield tock  # processed after tick, ahead of a queued completion
+            seen.append((yield kid))
+        spawn(env, joiner())
+        for _ in range(3):  # both starts, then tick: the child returns
+            env.step()
+        assert kid.processed and seen == []
+        env.step()  # tock: the joiner yields the finished handle
+        assert seen == [7]
+        assert env.step() is False
 
 
 class TestInterrupt:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from desim import Environment, Resource, Rng, stats
+from desim import Environment, Resource, Rng, UnhandledFailureError, stats
 from desim.scenarios import counter_scenario
 from desim.stats import (
     CSV_HEADER,
@@ -277,6 +277,23 @@ class TestSweep:
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         with pytest.raises(RuntimeError, match="^cell 3$"):
             sweep("ordered", [2, 3, 4], 500.0, [0, 1], workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_worker_kernel_error_reads_as_in_a_serial_sweep(self, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers see the patched simulate only when forked")
+
+        def unhandled(n, t, variant, seed):
+            raise UnhandledFailureError(ValueError("boom"), "p1")
+
+        monkeypatch.setattr(stats, "simulate", unhandled)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(UnhandledFailureError) as err:
+                sweep("ordered", [2, 3], 500.0, [0], workers=workers)
+            messages.append(str(err.value))
+        assert messages == ["unhandled failure in process 'p1': ValueError('boom')"] * 2
         assert multiprocessing.active_children() == []
 
     def test_worker_that_dies_unheard_fails_the_sweep(self, monkeypatch):
