@@ -38,7 +38,10 @@ class Process(Event):
     current time like any triggered event. A success that nobody waits on is
     processed in place, in the step that ran the body: it is never queued, so
     ``on_processed`` does not see it, and a process that yields the handle
-    later continues at once with the return value.
+    later continues at once with the return value. That holds also for a
+    join made at the same time, before the step that would have processed a
+    queued completion: an interrupt sent to the joiner at that time arrives
+    at its next yield, not at the join.
     """
 
     __slots__ = ("name", "_body", "_awaiting")

@@ -333,6 +333,29 @@ class TestUnwatchedCompletion:
         assert seen == [7]
         assert env.step() is False
 
+    def test_an_interrupt_sent_after_the_join_arrives_at_the_next_yield(self):
+        env = Environment(0)
+        tick, tock = env.timeout(1.0), env.timeout(1.0)
+        seen = []
+        def child():
+            yield tick
+            return 7
+        kid = spawn(env, child())
+        def joiner():
+            yield tock
+            try:
+                seen.append((yield kid))  # continues in place with 7
+                yield env.timeout(5.0)
+            except Interrupted as stop:
+                seen.append((env.now, stop.cause))
+        target = spawn(env, joiner())
+        def poker():
+            yield tock  # resumed after the joiner has joined
+            target.interrupt("now")
+        spawn(env, poker())
+        env.run()
+        assert seen == [7, (1.0, "now")]
+
 
 class TestInterrupt:
     def test_interrupt_wakes_at_current_clock_with_cause(self):
