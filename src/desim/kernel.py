@@ -60,8 +60,8 @@ class UnhandledFailureError(KernelError):
         super().__init__(f"unhandled failure in {who}: {cause!r}")
 
     def __reduce__(self):
-        # Rebuild from the constructor's arguments, not from the message, so
-        # a copy sent back from a sweep worker reads the same.
+        # The constructor takes (cause, process_name), not the message that
+        # the default reduce would pass it, so a copy rebuilds from those.
         return (type(self), (self.cause, self.process_name))
 
 

@@ -96,8 +96,8 @@ def _take_cells(queue: list[tuple[int, tuple]], taken, conn) -> None:
                 break
             i, cell = queue[k]
             rows.append((i, simulate(*cell)))  # the global, which a tracer may wrap
-    except Exception as exc:  # the parent re-raises it
-        rows = exc
+    except Exception:
+        pass  # stop here; the parent runs every cell that has no row
     conn.send(rows)
 
 
@@ -109,8 +109,10 @@ def sweep(variant: str, n_values: Iterable[int], t: float,
     from its own coordinates, so a cell rerun alone matches its sweep row and
     cells may run in parallel (``workers`` > 1) without affecting results.
     No more workers are started than there are cells or CPUs. Each is one
-    process that takes cells largest party first, as it comes free, and
-    sends all of its rows back in one message.
+    process that takes cells largest party first, as it comes free, stops
+    at a cell that raises, and sends back the rows it has. The parent runs
+    every cell that has no row, in (n, seed) order, so it raises what a
+    serial sweep would. A worker that dies without sending is an EOFError.
     """
     ns = list(n_values)
     bases = list(seeds)
@@ -127,33 +129,29 @@ def sweep(variant: str, n_values: Iterable[int], t: float,
     cells = [(n, t, variant, derive_seed(base, variant, n))
              for n in ns for base in bases]
     workers = min(workers, len(cells), os.cpu_count() or 1)
-    if workers == 1:
-        return [simulate(*cell) for cell in cells]
-    import multiprocessing
+    rows = {}
+    if workers > 1:
+        import multiprocessing
 
-    queue = sorted(enumerate(cells), key=lambda cell: -cell[1][0])  # cost grows with n
-    taken = multiprocessing.Value("l", 0)
-    rows = []
-    children = []
-    try:
-        for _ in range(workers):
-            receiver, sender = multiprocessing.Pipe(duplex=False)
-            child = multiprocessing.Process(target=_take_cells, args=(queue, taken, sender),
-                                            daemon=True)
-            child.start()
-            children.append((child, receiver))
-            sender.close()  # so a worker that dies unheard reads as EOFError
-        for _, receiver in children:
-            got = receiver.recv()
-            if isinstance(got, Exception):
-                raise got
-            rows += got
-    finally:
-        for child, receiver in children:
-            child.terminate()
-            child.join()
-            receiver.close()
-    return [row for _, row in sorted(rows)]
+        queue = sorted(enumerate(cells), key=lambda cell: -cell[1][0])  # cost grows with n
+        taken = multiprocessing.Value("l", 0)
+        children = []
+        try:
+            for _ in range(workers):
+                receiver, sender = multiprocessing.Pipe(duplex=False)
+                child = multiprocessing.Process(target=_take_cells,
+                                                args=(queue, taken, sender), daemon=True)
+                child.start()
+                children.append((child, receiver))
+                sender.close()  # so a worker that dies unheard reads as EOFError
+            for _, receiver in children:
+                rows.update(receiver.recv())
+        finally:
+            for child, receiver in children:
+                child.terminate()
+                child.join()
+                receiver.close()
+    return [rows[i] if i in rows else simulate(*cell) for i, cell in enumerate(cells)]
 
 
 CSV_HEADER = "variant,n,t,seed,mean_waiting,deadlocked"

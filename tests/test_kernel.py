@@ -224,7 +224,7 @@ class TestOutcome:
             env.run()
 
     def test_unhandled_failure_error_survives_pickling(self):
-        # A sweep worker sends its error to the parent through a pipe.
+        # A public exception: a copy made by pickle must read the same.
         error = UnhandledFailureError(ValueError("boom"), "p1")
         copy = pickle.loads(pickle.dumps(error))
         assert str(copy) == str(error) == "unhandled failure in process 'p1': ValueError('boom')"

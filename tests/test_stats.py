@@ -305,6 +305,67 @@ class TestSweep:
             sweep("ordered", [2, 3, 4], 500.0, [0], workers=2)
         assert multiprocessing.active_children() == []
 
+    def test_worker_error_that_does_not_pickle_reads_as_in_a_serial_sweep(
+            self, monkeypatch, capfd):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers see the patched simulate only when forked")
+
+        def local():  # a local function does not pickle
+            return 0
+
+        def unhandled(n, t, variant, seed):
+            raise UnhandledFailureError(ValueError(local), "p1")
+
+        monkeypatch.setattr(stats, "simulate", unhandled)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(UnhandledFailureError) as err:
+                sweep("ordered", [2, 3], 500.0, [0], workers=workers)
+            messages.append(str(err.value))
+        assert messages[1] == messages[0]
+        assert "Traceback" not in capfd.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    def test_cell_that_fails_only_in_a_worker_is_run_again_here(self, monkeypatch):
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("workers see the patched simulate only when forked")
+        real = stats.simulate
+        here = os.getpid()
+
+        def fails_in_a_worker(n, t, variant, seed):
+            if os.getpid() != here:
+                raise MemoryError
+            return real(n, t, variant, seed)
+
+        serial = sweep("ordered", [2, 3, 4], 500.0, [0, 1])
+        monkeypatch.setattr(stats, "simulate", fails_in_a_worker)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert sweep("ordered", [2, 3, 4], 500.0, [0, 1], workers=2) == serial
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("failing", [{3, 4}, {2, 4}, {4}])
+    def test_parallel_sweep_raises_the_serial_sweeps_first_error(
+            self, monkeypatch, inline_workers, failing):
+        # The first inline worker takes 5, then stops at 4; the second takes
+        # 3, then 2, until one fails. A serial sweep fails at the smallest.
+        real = stats.simulate
+
+        def fails(n, t, variant, seed):
+            if n in failing:
+                raise RuntimeError(f"cell {n}")
+            return real(n, t, variant, seed)
+
+        monkeypatch.setattr(stats, "simulate", fails)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        messages = []
+        for workers in (1, 2):
+            with pytest.raises(RuntimeError) as err:
+                sweep("ordered", [2, 3, 4, 5], 100.0, [0], workers=workers)
+            messages.append(str(err.value))
+        assert messages == [f"cell {min(failing)}"] * 2
+        assert len(inline_workers) == 2
+
 
 @pytest.fixture
 def no_workers(monkeypatch):
