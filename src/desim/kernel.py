@@ -72,13 +72,14 @@ class Event:
     failure with a cause. Callbacks registered before processing fire exactly
     once, in registration order, when the event is processed.
 
-    The lifecycle is read off two fields: an event is pending while
-    ``_sched_time`` is None, and processed once ``callbacks`` is None. The
-    outcome is a success unless ``fail`` cleared ``_ok``.
+    The lifecycle is read off two fields: an event is pending until
+    ``_triggered`` is set, and processed once ``callbacks`` is None. The
+    outcome is a success unless ``fail`` cleared ``_ok``. The key an event
+    is queued under is held only by its queue entry.
     """
 
     __slots__ = ("env", "eid", "callbacks", "_ok", "_value", "_observed",
-                 "_sched_time", "_sched_priority")
+                 "_triggered")
 
     def __init__(self, env: "Environment"):
         self.env = env
@@ -87,17 +88,17 @@ class Event:
         self._ok = True
         self._value: Any = None
         self._observed = False
-        self._sched_time: float | None = None
+        self._triggered = False
 
     # -- observation --------------------------------------------------
 
     @property
     def pending(self) -> bool:
-        return self._sched_time is None
+        return not self._triggered
 
     @property
     def triggered(self) -> bool:
-        return self._sched_time is not None and self.callbacks is not None
+        return self._triggered and self.callbacks is not None
 
     @property
     def processed(self) -> bool:
@@ -126,17 +127,6 @@ class Event:
             raise LifecycleError(f"{self!r} has no failure cause")
         return self._value
 
-    @property
-    def schedule_key(self) -> tuple[float, int, int] | None:
-        """(time, priority, sequence) this event was queued under, if any.
-
-        A process completion that nobody waits on is processed in place, not
-        queued; its key is the one it would have had: (now, NORMAL, eid).
-        """
-        if self._sched_time is None:
-            return None
-        return (self._sched_time, self._sched_priority, self.eid)
-
     # -- lifecycle ----------------------------------------------------
 
     def succeed(self, value: Any = None) -> None:
@@ -163,7 +153,7 @@ class Event:
         self.callbacks.append(callback)
 
     def _stage(self) -> str:
-        return ("pending" if self._sched_time is None else
+        return ("pending" if not self._triggered else
                 "triggered" if self.callbacks is not None else "processed")
 
     def __repr__(self) -> str:
@@ -214,16 +204,14 @@ class Environment:
         event creation sequence. An event already triggered or processed
         cannot be scheduled again.
         """
-        if event._sched_time is not None:
+        if event._triggered:
             raise LifecycleError(f"cannot schedule {event!r}: not pending")
         if event.env is not self:
             raise LifecycleError(f"{event!r} belongs to a different environment")
         if not 0.0 <= delay < _INF:  # also rejects NaN
             raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
-        time = self._now + delay
-        event._sched_time = time
-        event._sched_priority = priority
-        heappush(self._queue, (time, priority, event.eid, event))
+        event._triggered = True
+        heappush(self._queue, (self._now + delay, priority, event.eid, event))
 
     def timeout(self, delay: float) -> Event:
         """Event that succeeds, with value ``None``, ``delay`` time units from now."""
@@ -315,10 +303,10 @@ class Condition(Event):
     def _on_constituent(self, ev: Event) -> None:
         if not ev._ok:
             ev._observed = True
-            if self._sched_time is None:
+            if not self._triggered:
                 self.fail(ev._value)
             return
-        if self._sched_time is None:
+        if not self._triggered:
             self.succeed(ev)
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 from types import GeneratorType
 from typing import Any, Generator
 
-from .kernel import NORMAL, URGENT, Environment, Event, LifecycleError
+from .kernel import URGENT, Environment, Event, LifecycleError
 
 __all__ = ["Process", "Interrupted", "spawn"]
 
@@ -32,7 +32,9 @@ class Process(Event):
 
     The completion succeeds with the body's return value or fails with the
     exception the body raised; a ``MemoryError`` ends the run instead.
-    A body that is not a generator object is a ``TypeError``, queueing nothing.
+    A body must be a generator that has not started: any other object is a
+    ``TypeError``, and a generator that has run, even to its end, is a
+    ``ValueError``; either way nothing is queued.
 
     A failure, or a success that someone already waits on, is queued at the
     current time like any triggered event. A success that nobody waits on is
@@ -50,6 +52,10 @@ class Process(Event):
                  name: str | None = None):
         if type(body) is not GeneratorType:
             raise TypeError(f"process body must be a generator, got {body!r}")
+        frame = body.gi_frame
+        if (frame is None or body.gi_running
+                or getattr(body, "gi_suspended", frame.f_lasti != -1)):
+            raise ValueError(f"process body {body!r} has already started")
         Event.__init__(self, env)
         self.name = name or body.__name__
         self._body = body
@@ -72,7 +78,7 @@ class Process(Event):
         arrives after the body has completed is dropped. Interrupting a
         completed process is an error.
         """
-        if self._sched_time is not None:
+        if self._triggered:
             raise LifecycleError(f"cannot interrupt completed process {self.name!r}")
         wake = Event(self.env)
         wake._ok = False
@@ -85,7 +91,7 @@ class Process(Event):
 
     def _resume(self, event: Event) -> None:
         """Run the body from its yield point with ``event``'s outcome."""
-        if self._sched_time is not None:
+        if self._triggered:
             # The body completed before this wake arrived (e.g. a prior
             # interrupt ended it); nothing to resume.
             return
@@ -106,8 +112,7 @@ class Process(Event):
                 if self.callbacks:
                     self.env.schedule(self)
                 else:  # nobody waits: processed in place, never queued
-                    self._sched_time = self.env._now
-                    self._sched_priority = NORMAL
+                    self._triggered = True
                     self.callbacks = None
                 return
             except MemoryError:

@@ -259,9 +259,9 @@ class TestCriterion9PropertyFuzz:
             original_schedule = env.schedule
 
             def mirror(event, priority=1, delay=0.0, fresh=fresh,
-                       original=original_schedule):
+                       original=original_schedule, env=env):
                 original(event, priority, delay)
-                fresh.append(event.schedule_key)
+                fresh.append((env.now + delay, priority, event.eid))
 
             env.schedule = mirror
             party = build_party(env, n, variant)
@@ -269,17 +269,21 @@ class TestCriterion9PropertyFuzz:
             original_step = env.step
 
             def checked_step(shadow=shadow, fresh=fresh, popped=popped,
-                             violations=violations, original=original_step):
+                             violations=violations, original=original_step,
+                             env=env):
                 # At a step boundary the shadow matches the live queue, so
-                # the pop must take the shadow's minimum key.
+                # the entry about to be popped must hold the shadow's
+                # minimum key, and its event must be the one processed.
                 while fresh:
                     heapq.heappush(shadow, fresh.pop())
                 expected = shadow[0] if shadow else None
+                entry = env._queue[0] if env._queue else None
                 popped.clear()
                 progressed = original()
                 if progressed:
-                    if not popped or popped[0] != expected:
-                        violations.append(("pop-order", popped, expected))
+                    if (entry[:3] != expected or not popped
+                            or popped[0] is not entry[3]):
+                        violations.append(("pop-order", entry, expected))
                     heapq.heappop(shadow)
                 return progressed
 
@@ -291,7 +295,7 @@ class TestCriterion9PropertyFuzz:
             def watch(ev, party=party, popped=popped, times=times,
                       violations=violations, env=env,
                       transitions=transitions, last_state=last_state):
-                popped.append(ev.schedule_key)
+                popped.append(ev)
                 # A diner changes state at most once per resumption, so a
                 # check after every processed event logs every edge.
                 for ph, log in transitions.items():

@@ -139,6 +139,24 @@ class TestSchedule:
         with pytest.raises(LifecycleError):
             env.schedule(ev)
 
+    @pytest.mark.parametrize("foreign, delay, error", [
+        pytest.param(True, 0.0, LifecycleError, id="other-environment"),
+        pytest.param(False, -1.0, ValueError, id="negative"),
+        pytest.param(False, float("inf"), ValueError, id="inf"),
+        pytest.param(False, float("nan"), ValueError, id="nan"),
+    ])
+    def test_rejected_schedule_leaves_the_event_pending(self, foreign, delay,
+                                                        error):
+        env = Environment(0)
+        ev = env.event()
+        scheduler = Environment(0) if foreign else env
+        with pytest.raises(error):
+            scheduler.schedule(ev, NORMAL, delay)
+        assert ev.pending
+        assert env._queue == [] and scheduler._queue == []
+        ev.succeed()
+        assert env._queue == [(0.0, NORMAL, ev.eid, ev)]
+
     def test_plain_scheduled_event_succeeds_with_none(self):
         env = Environment(0)
         ev = env.event()
@@ -187,7 +205,7 @@ class TestOutcome:
         ev = env.event()
         with pytest.raises(TypeError, match="must be an exception"):
             ev.fail(("cause", 17))
-        assert ev.pending and ev.schedule_key is None
+        assert ev.pending and env._queue == []
 
     def test_succeed_twice_is_error(self):
         env = Environment(0)
@@ -207,12 +225,13 @@ class TestOutcome:
         env = Environment(0)
         ev = env.event()
         ev.succeed(1)
-        key = ev.schedule_key
+        queued = [(0.0, NORMAL, ev.eid, ev)]
+        assert env._queue == queued
         with pytest.raises(LifecycleError):
             ev.succeed(2)
         with pytest.raises(LifecycleError):
             ev.fail(RuntimeError())
-        assert ev.schedule_key == key
+        assert env._queue == queued
         env.run()
         assert ev.succeeded and ev.value == 1
 
@@ -465,6 +484,16 @@ class TestComposites:
         assert ev.processed
 
 
+def record_popped_keys(env, keys):
+    """Make ``env.step`` append the key of the queue entry it is about to pop."""
+    step = env.step
+    def recording_step():
+        if env._queue:
+            keys.append(env._queue[0][:3])
+        return step()
+    env.step = recording_step
+
+
 class TestOrderingProperties:
     """The processed stream is exactly sorted schedule-key order."""
 
@@ -474,8 +503,8 @@ class TestOrderingProperties:
             env = Environment(0)
             keys = []
             clocks = []
-            env.on_processed = lambda ev: (keys.append(ev.schedule_key),
-                                           clocks.append(env.now))
+            record_popped_keys(env, keys)
+            env.on_processed = lambda ev: clocks.append(env.now)
             for _ in range(rng.randint(1, 60)):
                 env.schedule(env.event(),
                              priority=rng.choice([URGENT, NORMAL, 3]),
@@ -503,7 +532,7 @@ class TestOrderingProperties:
         def run_once():
             env = Environment(5)
             keys = []
-            env.on_processed = lambda ev: keys.append(ev.schedule_key)
+            record_popped_keys(env, keys)
             def worker(i):
                 for _ in range(5):
                     yield env.timeout(env.rng.expovariate_mean(3.0))

@@ -8,7 +8,7 @@ facts are recorded can change without changing what they say.
 
 import pytest
 
-from desim import Container, Environment, LifecycleError, Resource, spawn
+from desim import NORMAL, Container, Environment, LifecycleError, Resource, spawn
 
 _NO_VALUE = object()
 
@@ -53,12 +53,12 @@ class TestPlainEvent:
         env = Environment(0)
         ev = env.event()
         assert_stage(ev, "pending")
-        assert ev.schedule_key is None
+        assert env._queue == []
         ev.add_callback(lambda _: None)
         value = object()
         ev.succeed(value)
         assert_stage(ev, "triggered")
-        assert ev.schedule_key == (0.0, 1, ev.eid)
+        assert env._queue == [(0.0, NORMAL, ev.eid, ev)]
         assert_not_pending(env, ev)
         ev.add_callback(lambda _: None)
         assert env.step()

@@ -3,7 +3,6 @@
 import pytest
 
 from desim import (
-    NORMAL,
     Environment,
     Interrupted,
     LifecycleError,
@@ -64,6 +63,49 @@ class TestSpawn:
         with pytest.raises(TypeError, match="must be a generator"):
             spawn(env, SendOnly())
         assert env.step() is False  # nothing was queued
+
+    @pytest.mark.parametrize("how", ["spawned", "exhausted", "closed",
+                                     "closed-unstarted"])
+    def test_a_body_that_has_run_is_rejected(self, how):
+        env = Environment(0)
+        log = []
+        def body():
+            for i in range(3):
+                yield env.timeout(1.0)
+                log.append((env.now, i))
+        gen = body()
+        if how == "spawned":
+            spawn(env, gen)
+            env.step()  # its start: the body is now suspended at a yield
+        elif how == "exhausted":
+            for _ in gen:
+                pass
+        elif how == "closed":
+            next(gen)
+            gen.close()
+        else:
+            gen.close()
+        queued = list(env._queue)
+        log.clear()
+        with pytest.raises(ValueError, match="already started"):
+            spawn(env, gen)
+        assert env._queue == queued  # nothing was queued
+        env.run()
+        # The rejected spawn leaves the body alone: only a first spawn runs it.
+        assert log == ([(1.0, 0), (2.0, 1), (3.0, 2)] if how == "spawned"
+                       else [])
+
+    def test_a_body_that_spawns_itself_fails(self):
+        env = Environment(0)
+        def body():
+            spawn(env, me)  # the generator is running
+            yield env.timeout(1.0)
+        me = body()
+        spawn(env, me)
+        with pytest.raises(UnhandledFailureError) as info:
+            env.run()
+        assert isinstance(info.value.cause, ValueError)
+        assert info.value.process_name == "body"
 
     def test_repr_shows_name_id_and_stage(self):
         env = Environment(0)
@@ -311,7 +353,6 @@ class TestUnwatchedCompletion:
         assert handle.processed and handle.value == "done"
         assert env._queue == []
         assert handle not in processed
-        assert handle.schedule_key == (2.0, NORMAL, handle.eid)
         assert env.run().at == 2.0
 
     def test_a_later_join_continues_in_the_same_step(self):
