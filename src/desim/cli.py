@@ -37,11 +37,24 @@ class _Parser(argparse.ArgumentParser):
 def emit_trace(records: Iterable[tuple[float, str, str]], fmt: str = "human",
                precision: int = 6) -> str:
     """Render ``(time, actor, message)`` tuples, one line each; empty input
-    yields empty output."""
+    yields empty output.
+
+    Human lines carry the bytes of ``{time:.{precision}f}``. The time is
+    formatted once for each run of equal consecutive times, since a model
+    often writes several lines at one instant, and every line of the run
+    reuses that stamp."""
     if fmt == "human":
-        line = f"%s %s @%.{precision}f\n"  # one format: the bytes of {time:.{p}f}
-        return "".join([line % (actor, message, time)
-                        for time, actor, message in records])
+        stamp = f"%.{precision}f"
+        lines = []
+        last = at = None
+        for time, actor, message in records:
+            # 0.0 == -0.0 prints differently, so a zero is always formatted;
+            # so is a NaN, which equals nothing.
+            if time != last or not time:
+                at = stamp % time
+                last = time
+            lines.append(f"{actor} {message} @{at}\n")
+        return "".join(lines)
     if fmt == "jsonl":
         import json  # here, not at the top: only jsonl output needs it
         return "".join(json.dumps({"time": time, "actor": actor,

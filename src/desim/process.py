@@ -34,7 +34,10 @@ class Process(Event):
     exception the body raised; a ``MemoryError`` ends the run instead.
     A body must be a generator that has not started: any other object is a
     ``TypeError``, and a generator that has run, even to its end, is a
-    ``ValueError``; either way nothing is queued.
+    ``ValueError``; either way nothing is queued. A body that has run by the
+    time its process starts (one generator spawned twice, started by the
+    first process) is not resumed: the process fails with
+    :class:`LifecycleError`, which ``env.run`` raises.
 
     A failure, or a success that someone already waits on, is queued at the
     current time like any triggered event. A success that nobody waits on is
@@ -52,16 +55,14 @@ class Process(Event):
                  name: str | None = None):
         if type(body) is not GeneratorType:
             raise TypeError(f"process body must be a generator, got {body!r}")
-        frame = body.gi_frame
-        if (frame is None or body.gi_running
-                or getattr(body, "gi_suspended", frame.f_lasti != -1)):
+        if _has_run(body):
             raise ValueError(f"process body {body!r} has already started")
         Event.__init__(self, env)
         self.name = name or body.__name__
         self._body = body
         # The start is the first event the process waits for: an urgent success now.
         start = Event(env)
-        start.callbacks.append(self._resume)
+        start.callbacks.append(self._start)
         env.schedule(start, URGENT, 0.0)
         self._awaiting: Event = start
 
@@ -88,6 +89,17 @@ class Process(Event):
         self.env.schedule(wake, URGENT, 0.0)
 
     # -- internals ------------------------------------------------------
+
+    def _start(self, start: Event) -> None:
+        """Run the body from its start, unless it has run since the spawn."""
+        if _has_run(self._body):
+            # Whoever ran the body owns it: fail without resuming or closing it.
+            error = LifecycleError(f"process {self.name!r} cannot start: its "
+                                   f"body has already started")
+            self._observed = True  # raised right here, out of env.run
+            self.fail(error)
+            raise error
+        self._resume(start)
 
     def _resume(self, event: Event) -> None:
         """Run the body from its yield point with ``event``'s outcome."""
@@ -140,6 +152,13 @@ class Process(Event):
 
     def __repr__(self) -> str:
         return f"<Process {self.name!r} #{self.eid} {self._stage()}>"
+
+
+def _has_run(body: GeneratorType) -> bool:
+    """Whether ``body`` is suspended, running, exhausted or closed."""
+    frame = body.gi_frame
+    return (frame is None or body.gi_running
+            or getattr(body, "gi_suspended", frame.f_lasti != -1))
 
 
 def spawn(env: Environment, body: Generator[Event, Any, Any],

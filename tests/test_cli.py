@@ -40,9 +40,15 @@ class TestEmitTrace:
         assert json.loads(line) == {"time": 0.5, "actor": "P0",
                                     "message": "requested chopstick"}
 
-    @pytest.mark.parametrize("precision", [0, 1, 6, 12])
+    @pytest.mark.parametrize("precision", [0, 1, 6, 12, 20])
     def test_human_format_matches_the_f_string_rendering(self, precision):
-        times = [0.0, 1e-7, 0.5, 2.5, 24999.9999995, 1e16, 7]
+        # Runs of equal times share one formatted stamp; the signed zeros,
+        # NaN and the infinities are where a stamp reused by equality alone
+        # would differ from formatting each time.
+        nan, inf = float("nan"), float("inf")
+        times = [0.0, 1e-7, 0.5, 2.5, 24999.9999995, 1e16, 7,
+                 3.25, 3.25, 3.25, 7, 7.0, 0.0, -0.0, -0.0, 0.0,
+                 nan, nan, inf, inf, -inf, -inf, 1e-7]
         records = [(t, f"P{i}", "obtained chopstick") for i, t in enumerate(times)]
         expected = "".join(f"{actor} {message} @{t:.{precision}f}\n"
                            for t, actor, message in records)

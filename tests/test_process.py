@@ -95,6 +95,24 @@ class TestSpawn:
         assert log == ([(1.0, 0), (2.0, 1), (3.0, 2)] if how == "spawned"
                        else [])
 
+    def test_a_body_spawned_twice_runs_in_the_first_process_only(self):
+        env = Environment(0)
+        log = []
+        def body():
+            for i in range(3):
+                yield env.timeout(1.0)
+                log.append((env.now, i))
+        gen = body()
+        first = spawn(env, gen, name="first")
+        second = spawn(env, gen, name="second")  # gen has not run yet
+        with pytest.raises(LifecycleError, match="'second'"):
+            env.run()
+        assert env.now == 0.0 and log == []
+        env.run()
+        assert log == [(1.0, 0), (2.0, 1), (3.0, 2)]
+        assert first.succeeded
+        assert isinstance(second.failure_cause, LifecycleError)
+
     def test_a_body_that_spawns_itself_fails(self):
         env = Environment(0)
         def body():
