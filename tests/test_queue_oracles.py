@@ -14,7 +14,10 @@ A third model checks the impatient diner's race-and-cancel path: a
 races ``get(1)`` against an exponential patience with ``any_of``, calling
 ``cancel_get`` on losing. That is Erlang-A, M/M/c+M (Palm 1943; Garnett,
 Mandelbaum & Reiman 2002, *Manufacturing & Service Operations Management*),
-whose abandonment probability follows from its birth-death chain.
+whose abandonment probability follows from its birth-death chain. With one
+server and a fixed patience D, as the diner's, it is M/M/1+D (Baccelli, Boyer
+& Hebuterne 1984, *Advances in Applied Probability*), whose abandonment
+probability has a closed form.
 
 A fourth runs that path as the diner does, on a stock refilled one unit at a
 time: make-to-stock with impatient backorders. Its abandonment probability
@@ -95,8 +98,11 @@ def test_fixed_service_wait_matches_pollaczek_khinchine(rho):
     assert abs(observed - expected) <= 0.1 * expected
 
 
-def abandon_fraction(arrival_rate, service_rate, patience_rate, servers, seed=0):
-    """Share of ``CUSTOMERS`` Poisson arrivals who give up before a grant."""
+def abandon_fraction(arrival_rate, service_rate, patience, servers, seed=0):
+    """Share of ``CUSTOMERS`` Poisson arrivals who give up before a grant.
+
+    Each customer waits at most ``patience(rng)`` for one of ``servers`` units.
+    """
     env = Environment(seed)
     pool = Container(env, init=servers, capacity=servers)
     abandoned = 0
@@ -104,7 +110,7 @@ def abandon_fraction(arrival_rate, service_rate, patience_rate, servers, seed=0)
     def customer():
         nonlocal abandoned
         grant = pool.get(1)
-        deadline = env.timeout(env.rng.expovariate_mean(1.0 / patience_rate))
+        deadline = env.timeout(patience(env.rng))
         if (yield any_of(env, [grant, deadline])) is not grant:
             pool.cancel_get(grant)
             abandoned += 1
@@ -147,7 +153,34 @@ def test_erlang_a_without_patience_limit_is_erlang_c():
 ])
 def test_reneging_matches_erlang_a(arrival_rate, service_rate, patience_rate, servers):
     expected = erlang_a_abandon(arrival_rate, service_rate, patience_rate, servers)
-    observed = abandon_fraction(arrival_rate, service_rate, patience_rate, servers)
+    observed = abandon_fraction(
+        arrival_rate, service_rate,
+        lambda rng: rng.expovariate_mean(1.0 / patience_rate), servers)
+    assert abs(observed - expected) <= 0.1 * expected
+
+
+def fixed_patience_abandon(arrival_rate, service_rate, patience):
+    """P(abandon) of M/M/1+D: pi0 (lambda / mu) e^(-(mu - lambda) D), lambda != mu."""
+    decay = math.exp(-(service_rate - arrival_rate) * patience)
+    load = arrival_rate / service_rate
+    idle = 1.0 / (1.0 + arrival_rate * (1.0 - decay) / (service_rate - arrival_rate)
+                  + load * decay)
+    return idle * load * decay
+
+
+def test_fixed_patience_near_zero_is_mm11_blocking():
+    # As D -> 0 a customer leaves unless the server is free: M/M/1/1, which
+    # blocks lambda / (lambda + mu) of arrivals (Erlang B with one server).
+    assert fixed_patience_abandon(0.9, 1.0, 1e-12) == pytest.approx(0.9 / 1.9, rel=1e-9)
+
+
+@pytest.mark.parametrize("arrival_rate, service_rate, patience", [
+    (0.9, 1.0, 2.0),
+    (1.2, 1.0, 3.0),  # overloaded: only reneging keeps the queue finite
+])
+def test_fixed_patience_matches_mm1_plus_d(arrival_rate, service_rate, patience):
+    expected = fixed_patience_abandon(arrival_rate, service_rate, patience)
+    observed = abandon_fraction(arrival_rate, service_rate, lambda rng: patience, 1)
     assert abs(observed - expected) <= 0.1 * expected
 
 
