@@ -305,8 +305,7 @@ class Condition(Event):
             ev._observed = True
             if not self._triggered:
                 self.fail(ev._value)
-            return
-        if not self._triggered:
+        elif not self._triggered:
             self.succeed(ev)
 
 

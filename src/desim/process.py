@@ -34,10 +34,11 @@ class Process(Event):
     exception the body raised; a ``MemoryError`` ends the run instead.
     A body must be a generator that has not started: any other object is a
     ``TypeError``, and a generator that has run, even to its end, is a
-    ``ValueError``; either way nothing is queued. A body that has run by the
-    time its process starts (one generator spawned twice, started by the
-    first process) is not resumed: the process fails with
-    :class:`LifecycleError`, which ``env.run`` raises.
+    ``ValueError``; either way nothing is queued. The start is the first
+    resume. A body that has run by then (one generator spawned twice,
+    started by the first process), or that yields anything but an event of
+    its environment other than its own completion, aborts the process: it
+    fails with a :class:`LifecycleError`, and ``env.run`` raises the same error.
 
     A failure, or a success that someone already waits on, is queued at the
     current time like any triggered event. A success that nobody waits on is
@@ -60,11 +61,11 @@ class Process(Event):
         Event.__init__(self, env)
         self.name = name or body.__name__
         self._body = body
-        # The start is the first event the process waits for: an urgent success now.
+        # The start is the first resume: an urgent success now.
+        self._awaiting: Event | None = None
         start = Event(env)
-        start.callbacks.append(self._start)
+        start.callbacks.append(self._resume)
         env.schedule(start, URGENT, 0.0)
-        self._awaiting: Event = start
 
     def interrupt(self, cause: Any = None) -> None:
         """Resume the process exceptionally with ``cause`` at its yield point.
@@ -90,17 +91,6 @@ class Process(Event):
 
     # -- internals ------------------------------------------------------
 
-    def _start(self, start: Event) -> None:
-        """Run the body from its start, unless it has run since the spawn."""
-        if _has_run(self._body):
-            # Whoever ran the body owns it: fail without resuming or closing it.
-            error = LifecycleError(f"process {self.name!r} cannot start: its "
-                                   f"body has already started")
-            self._observed = True  # raised right here, out of env.run
-            self.fail(error)
-            raise error
-        self._resume(start)
-
     def _resume(self, event: Event) -> None:
         """Run the body from its yield point with ``event``'s outcome."""
         if self._triggered:
@@ -108,10 +98,14 @@ class Process(Event):
             # interrupt ended it); nothing to resume.
             return
         awaited = self._awaiting
-        if awaited is not event:
+        body = self._body
+        if awaited is None:  # the start
+            if _has_run(body):
+                # Whoever ran the body owns it: fail without resuming or closing it.
+                self._abort("cannot start: its body has already started")
+        elif awaited is not event:
             # An interrupt overtook the awaited event, which is detached.
             awaited.callbacks.remove(self._resume)
-        body = self._body
         while True:
             try:
                 if event._ok:
@@ -135,13 +129,9 @@ class Process(Event):
             if (not isinstance(target, Event) or target.env is not self.env
                     or target is self):
                 body.close()
-                what = ("its own completion" if target is self else
-                        f"{target!r}, which is not an event of its environment")
-                # Fail the process too, so whoever joins it is not left waiting.
-                error = LifecycleError(f"process {self.name!r} yielded {what}")
-                self._observed = True  # raised right here, out of env.run
-                self.fail(error)
-                raise error
+                self._abort("yielded " + (
+                    "its own completion" if target is self else
+                    f"{target!r}, which is not an event of its environment"))
             callbacks = target.callbacks
             if callbacks is not None:
                 callbacks.append(self._resume)
@@ -149,6 +139,13 @@ class Process(Event):
                 return
             # Already settled: continue in place without suspending.
             event = target
+
+    def _abort(self, what: str) -> None:
+        """Raise a ``LifecycleError`` out of ``env.run``; the process fails with it."""
+        error = LifecycleError(f"process {self.name!r} {what}")
+        self._observed = True  # raised right here; failed so no joiner is stranded
+        self.fail(error)
+        raise error
 
     def __repr__(self) -> str:
         return f"<Process {self.name!r} #{self.eid} {self._stage()}>"

@@ -165,14 +165,13 @@ class Container:
                 ev = gets.popleft()
                 self.level -= ev.amount
                 ev.succeed(ev.amount)
-                progress = True
             # A put that would overflow the level to inf stays queued; no get lowers inf
             while puts and math.isfinite(level := self.level + puts[0].amount) \
                     and level <= self.capacity:
                 ev = puts.popleft()
                 self.level = level
                 ev.succeed(ev.amount)
-                progress = True
+                progress = True  # only a put can let another get through
 
     def __repr__(self) -> str:
         return f"<Container level={self.level} capacity={self.capacity}>"

@@ -157,16 +157,14 @@ class Philosopher:
                 if impatient and not request.triggered:
                     # A withdrawal granted at once cannot lose to the deadline.
                     yield any_of(env, [request, env.timeout(MAX_FOOD_WAIT)])
-                    fed = request.processed
                 else:
                     yield request
+                fed = request.processed
+                if emit is not None:
+                    emit(env.now, label, "reserved food" if fed else "gave up")
                 if fed:
-                    if emit is not None:
-                        emit(env.now, label, "reserved food")
                     self.rice_consumed += self.meal_size
                 else:
-                    if emit is not None:
-                        emit(env.now, label, "gave up")
                     # The abandoned withdrawal must not drain stock later.
                     bowl.cancel_get(request)
             self.waiting += env.now - start_waiting
@@ -319,11 +317,8 @@ def counter_scenario(env: Environment, n_customers: int = 10,
             yield ticket
         except CustomerFailed:
             record.failed = True
-            record.departure = env.now
-            trace(env.now, "Customer", "failed (and left)")
-        else:
-            record.departure = env.now
-            trace(env.now, "Customer", "left")
+        record.departure = env.now
+        trace(env.now, "Customer", "failed (and left)" if record.failed else "left")
 
     def customer_generator():
         for i in range(n_customers):

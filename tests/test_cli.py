@@ -312,6 +312,16 @@ class TestSweepCommand:
         assert code == 0
         assert len(parse_csv(out)) == 1
 
+    def test_output_file_holds_exactly_what_stdout_gets(self, tmp_path):
+        args = ("sweep", "--scenario", "ordered", "--n", "2..3", "--until", "100",
+                "--seeds", "1")
+        code, printed, _ = run_cli(*args)
+        assert code == 0 and printed.startswith("variant,")
+        target = tmp_path / "sweep.csv"
+        code, out, err = run_cli(*args, "--output", str(target))
+        assert (code, out, err) == (0, "", "")
+        assert target.read_text(encoding="utf-8") == printed
+
     def test_counter_not_sweepable(self):
         code, _, err = run_cli("sweep", "--scenario", "counter", "--n", "2..3")
         assert code == 1 and "usage error" in err
@@ -427,7 +437,9 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "counter_scenario", explode)
         code, out, err = run_cli("run", "--scenario", "counter")
         assert code == 2 and out == ""
-        assert "simulation error" in err and "counter" in err
+        # One line: the error is not also reported as running out of memory.
+        assert err == ("simulation error: unhandled failure in process "
+                       "'counter': RuntimeError('boom')\n")
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="RLIMIT_AS is enforced on Linux")

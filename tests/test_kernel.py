@@ -386,6 +386,13 @@ class TestComposites:
         assert time.perf_counter() - started < 2.0
         assert cond.processed and cond.value is events[0]
 
+    def test_any_of_over_a_generator_expression(self):
+        env = Environment(0)
+        slow, fast = env.timeout(9.0), env.timeout(5.0)
+        cond = any_of(env, (ev for ev in (slow, fast)))
+        env.run()
+        assert cond.processed and cond.value is fast
+
     def test_empty_composite_rejected(self):
         env = Environment(0)
         with pytest.raises(ValueError):

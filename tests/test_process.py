@@ -113,6 +113,31 @@ class TestSpawn:
         assert first.succeeded
         assert isinstance(second.failure_cause, LifecycleError)
 
+    def test_a_body_spawned_twice_aborts_the_interrupted_and_joined_second(self):
+        env = Environment(0)
+        log, caught = [], []
+        def body():
+            for i in range(3):
+                yield env.timeout(1.0)
+                log.append((env.now, i))
+        gen = body()
+        spawn(env, gen, name="first")
+        second = spawn(env, gen, name="second")
+        second.interrupt("dropped")
+        def joiner():
+            try:
+                yield second
+            except LifecycleError as error:
+                caught.append((env.now, str(error)))
+        spawn(env, joiner())
+        with pytest.raises(LifecycleError) as info:
+            env.run()
+        message = "process 'second' cannot start: its body has already started"
+        assert str(info.value) == message and env.now == 0.0
+        env.run()  # the interrupt is dropped: the shared body never sees it
+        assert caught == [(0.0, message)]
+        assert log == [(1.0, 0), (2.0, 1), (3.0, 2)]
+
     def test_a_body_that_spawns_itself_fails(self):
         env = Environment(0)
         def body():
@@ -443,7 +468,7 @@ class TestInterrupt:
             except Interrupted:
                 resumes.append("interrupt branch")
             yield env.timeout(50.0)
-            resumes.append("tail")
+            resumes.append(("tail", env.now))
         handle = spawn(env, sleeper())
         def poker():
             yield env.timeout(1.0)
@@ -452,7 +477,7 @@ class TestInterrupt:
         env.run()
         # One resume per suspension: interrupt, then the trailing timeout; the
         # abandoned timeout at t=10 fires with no effect.
-        assert resumes == ["interrupt branch", "tail"]
+        assert resumes == ["interrupt branch", ("tail", 51.0)]
         assert env.now == 51.0
 
     def test_interrupt_before_start_delivered_at_first_yield(self):

@@ -462,6 +462,14 @@ class TestCounter:
         assert [c.index for c in resolved] == list(range(50))
         assert all(c.departure is not None for c in result.customers)
 
+    def test_arrival_is_the_time_of_the_arrived_line(self):
+        env = Environment(5)
+        trace, sink = collecting_sink()
+        result = counter_scenario(env, n_customers=50, trace=sink)
+        arrived = [t for t, _, message in trace if message == "arrived"]
+        assert [c.arrival for c in result.customers] == arrived
+        assert len(set(arrived)) == 50  # distinct times: the order is checked too
+
     def test_successful_service_takes_exactly_the_service_delay(self):
         env = Environment(5)
         result = counter_scenario(env, n_customers=50, trace=collecting_sink()[1])

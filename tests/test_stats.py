@@ -422,8 +422,10 @@ class TestCsv:
         assert parsed[0].deadlocked is True
 
     def test_malformed_header_rejected(self):
-        with pytest.raises(ValueError):
-            parse_csv("nope\n1,2,3\n")
+        row = "classic,5,1000.0,3,12.5,true\n"
+        for text in ("", "nope\n1,2,3\n", row, f"{CSV_HEADER.upper()}\n{row}"):
+            with pytest.raises(ValueError, match="malformed CSV header"):
+                parse_csv(text)
 
     def test_malformed_deadlocked_flag_rejected(self):
         with pytest.raises(ValueError, match="malformed deadlocked flag"):
