@@ -12,7 +12,7 @@ directly.
 from __future__ import annotations
 
 from types import GeneratorType
-from typing import Any, Generator
+from typing import Any, Generator, NoReturn
 
 from .kernel import URGENT, Environment, Event, LifecycleError
 
@@ -140,7 +140,7 @@ class Process(Event):
             # Already settled: continue in place without suspending.
             event = target
 
-    def _abort(self, what: str) -> None:
+    def _abort(self, what: str) -> NoReturn:
         """Raise a ``LifecycleError`` out of ``env.run``; the process fails with it."""
         error = LifecycleError(f"process {self.name!r} {what}")
         self._observed = True  # raised right here; failed so no joiner is stranded
