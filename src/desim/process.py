@@ -99,13 +99,13 @@ class Process(Event):
             return
         awaited = self._awaiting
         body = self._body
-        if awaited is None:  # the start
-            if _has_run(body):
+        if awaited is not event:
+            if awaited is not None:
+                # An interrupt overtook the awaited event, which is detached.
+                awaited.callbacks.remove(self._resume)
+            elif _has_run(body):  # the start
                 # Whoever ran the body owns it: fail without resuming or closing it.
                 self._abort("cannot start: its body has already started")
-        elif awaited is not event:
-            # An interrupt overtook the awaited event, which is detached.
-            awaited.callbacks.remove(self._resume)
         while True:
             try:
                 if event._ok:

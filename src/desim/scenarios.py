@@ -157,9 +157,9 @@ class Philosopher:
                 if impatient and not request.triggered:
                     # A withdrawal granted at once cannot lose to the deadline.
                     yield any_of(env, [request, env.timeout(MAX_FOOD_WAIT)])
+                    fed = request.processed
                 else:
                     yield request
-                fed = request.processed
                 if emit is not None:
                     emit(env.now, label, "reserved food" if fed else "gave up")
                 if fed:
