@@ -153,9 +153,7 @@ class Process(Event):
 
 def _has_run(body: GeneratorType) -> bool:
     """Whether ``body`` is suspended, running, exhausted or closed."""
-    frame = body.gi_frame
-    return (frame is None or body.gi_running
-            or getattr(body, "gi_suspended", frame.f_lasti != -1))
+    return body.gi_suspended or body.gi_running or body.gi_frame is None
 
 
 def spawn(env: Environment, body: Generator[Event, Any, Any],

@@ -269,6 +269,24 @@ class TestCallbacks:
         env.run()
         assert calls == ["one", "two"]
 
+    def test_step_raises_the_first_of_two_callback_errors(self):
+        # Both callbacks and the hook run, in that order; the first error wins.
+        env = Environment(0)
+        seen = []
+        def first(e):
+            seen.append("first")
+            raise KeyError("first")
+        def second(e):
+            seen.append("second")
+            raise IndexError("second")
+        ev = env.timeout(1.0)
+        ev.add_callback(first)
+        ev.add_callback(second)
+        env.on_processed = lambda e: seen.append(e)
+        with pytest.raises(KeyError, match="first"):
+            env.step()
+        assert seen == ["first", "second", ev]
+
     def test_callback_on_processed_event_is_error(self):
         env = Environment(0)
         ev = env.timeout(0.0)

@@ -129,6 +129,11 @@ class TestPhilosopher:
         with pytest.raises(ValueError, match="two different chopsticks"):
             Philosopher(env, (chopstick, chopstick), 0)
 
+    def test_three_chopsticks_rejected(self):
+        env = Environment(0)
+        with pytest.raises(ValueError, match="two different chopsticks"):
+            Philosopher(env, [Resource(env, 1) for _ in range(3)], 0)
+
     def test_options_are_keyword_only(self):
         env = Environment(0)
         bowl = Container(env, init=100.0, capacity=100.0)
