@@ -73,7 +73,6 @@ def count(call) -> Counter:
         call()
     finally:
         mon.set_events(tool, 0)
-        mon.register_callback(tool, mon.events.INSTRUCTION, None)
         mon.free_tool_id(tool)
     return counts
 
