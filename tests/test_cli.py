@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import runpy
 import subprocess
 import sys
 import tempfile
@@ -222,6 +223,15 @@ class TestOutputFile:
                                  str(tmp_path))
         assert code == 1 and out == ""
         assert err.startswith("usage error: cannot write --output")
+
+    def test_bare_file_name_is_written_in_the_working_directory(
+            self, tmp_path, monkeypatch):
+        # A name without a directory part is checked against the current one.
+        monkeypatch.chdir(tmp_path)
+        args = ("run", "--scenario", "counter", "--n", "2")
+        _, expected, _ = run_cli(*args)
+        assert run_cli(*args, "--output", "out.txt") == (0, "", "")
+        assert (tmp_path / "out.txt").read_bytes() == expected.encode()
 
     def test_device_is_written_without_truncating(self):
         code, out, err = run_cli("run", "--scenario", "counter", "--output",
@@ -497,12 +507,6 @@ def test_memory_error_in_a_process_body_is_one_line_and_exit_2(monkeypatch):
     assert (code, out, err) == (2, "", "simulation error: out of memory\n")
 
 
-def run_module(*argv):
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-    return subprocess.run([sys.executable, "-m", *argv], env=env,
-                          capture_output=True, text=True, timeout=60)
-
-
 def src_env():
     return dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
 
@@ -538,6 +542,34 @@ class TestWriteFailure:
         assert proc.stderr == (f"usage error: cannot write {where}: "
                                f"[Errno 28] No space left on device\n")
 
+    # The same failures met by main in this process. sys.stdout is a file of
+    # the test's own, so main's redirect to devnull lands on that file's
+    # descriptor, never on this process's fd 1.
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("where", ["--output", "stdout"])
+    def test_full_device_in_process_is_one_line_and_exit_1(self, where, monkeypatch):
+        argv = ["run", "--scenario", "counter", "--n", "2"]
+        if where == "--output":
+            argv += ["--output", "/dev/full"]
+        err = io.StringIO()
+        with open("/dev/full", "w") as full:
+            monkeypatch.setattr(sys, "stdout", full)
+            code = main(argv, stderr=err)
+        assert code == 1
+        assert err.getvalue() == (f"usage error: cannot write {where}: "
+                                  f"[Errno 28] No space left on device\n")
+
+    def test_stdout_reader_that_has_gone_in_process_exits_1_in_silence(
+            self, monkeypatch):
+        read, write = os.pipe()
+        os.close(read)
+        err = io.StringIO()
+        with open(write, "w") as pipe:
+            monkeypatch.setattr(sys, "stdout", pipe)
+            code = main(["run", "--scenario", "counter", "--n", "2"], stderr=err)
+        assert code == 1 and err.getvalue() == ""
+
 
 def test_rendered_text_does_not_outlive_main(tmp_path):
     # A party stopped at its horizon is a reference cycle that reaches the
@@ -563,16 +595,28 @@ def test_rendered_text_does_not_outlive_main(tmp_path):
 
 
 class TestModuleEntryPoints:
-    def test_cli_module_runs_main(self):
-        proc = run_module("desim.cli", "sweep", "--scenario", "ordered", "--n", "2",
-                          "--seeds", "1", "--until", "100", "--format", "csv")
-        assert proc.returncode == 1 and proc.stdout == ""
-        assert "usage error" in proc.stderr
+    """``python -m desim`` and ``python -m desim.cli``, run in this process."""
 
-    def test_package_module_runs_main(self):
-        proc = run_module("desim", "run", "--scenario", "counter", "--n", "2")
-        assert proc.returncode == 0 and proc.stderr == ""
-        assert proc.stdout.splitlines()[-1] == "Customer left @20.0"
+    def test_cli_module_runs_main(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", [
+            "desim", "sweep", "--scenario", "ordered", "--n", "2", "--seeds", "1",
+            "--until", "100", "--format", "csv"])
+        # runpy warns that the module it runs as __main__ is already imported.
+        with pytest.warns(RuntimeWarning, match="'desim.cli' found in sys.modules"):
+            with pytest.raises(SystemExit) as raised:
+                runpy.run_module("desim.cli", run_name="__main__")
+        out, err = capsys.readouterr()
+        assert raised.value.code == 1 and out == ""
+        assert err.startswith("usage error: ")
+
+    def test_package_module_runs_main(self, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "argv", ["desim", "run", "--scenario", "counter",
+                                          "--n", "2"])
+        with pytest.raises(SystemExit) as raised:
+            runpy.run_module("desim", run_name="__main__")
+        out, err = capsys.readouterr()
+        assert raised.value.code == 0 and err == ""
+        assert out.splitlines()[-1] == "Customer left @20.0"
 
 
 class TestValidateCommand:

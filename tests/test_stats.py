@@ -211,6 +211,8 @@ class TestSweep:
         ("bogus", [2, 3], "unknown variant 'bogus'"),
         ("ordered", [1, 2], "a party needs at least 2 philosophers, got 1"),
         ("ordered", [2, 1], "a party needs at least 2 philosophers, got 1"),
+        ("ordered", [2.5], "a party needs at least 2 philosophers, got 2.5"),
+        ("ordered", [2, "3"], "a party needs at least 2 philosophers, got '3'"),
     ])
     def test_bad_party_rejected_before_any_pool(self, variant, ns, message, no_workers):
         with pytest.raises(ValueError, match=message):
@@ -223,6 +225,11 @@ class TestSweep:
         assert len(inline_workers) == 2
         assert one == sweep("ordered", [2], 100.0, [0])
         assert two == sweep("ordered", [2, 3], 100.0, [0])
+
+    def test_unknown_cpu_count_runs_serially(self, monkeypatch, no_workers):
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        serial = sweep("ordered", [2, 3], 100.0, [0])
+        assert sweep("ordered", [2, 3], 100.0, [0], workers=2) == serial
 
     def test_pool_never_exceeds_the_cpu_count(self, monkeypatch, inline_workers):
         def no_cell(n, t, variant, seed):

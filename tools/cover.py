@@ -7,12 +7,10 @@ the repository root:
 
 The arguments go to pytest, which runs in this process while a ``LINE``
 callback records each source line the first time it runs. Then every line of
-every code object in ``src/desim`` that no test ran is listed, unless
-``tools/cover_allow.txt`` names it. Code that only subprocesses and pool
-workers run is not seen, so the allowlist holds it, keyed on file name and
-line text, each entry with its reason. Exit status 1 means the suite failed,
-a line went unrun without an entry, or an entry matched no unrun line: an
-allowlist only shrinks.
+every code object in ``src/desim`` that no test ran is listed. There are no
+exemptions: code that only a subprocess or a pool worker runs is not seen, so
+every line needs a test that reaches it in this process. Exit status 1 means
+the suite failed or a line went unrun.
 """
 
 import sys
@@ -21,7 +19,6 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "desim"
-ALLOW = Path(__file__).with_name("cover_allow.txt")
 
 
 def executable_lines(code):
@@ -49,25 +46,13 @@ def main(argv):
         mon.set_events(mon.COVERAGE_ID, 0)
         mon.free_tool_id(mon.COVERAGE_ID)
     ran = {(str(Path(name).resolve()), line) for name, line in hits}
-    rows = [row.split(" | ", 2) for row in ALLOW.read_text().splitlines()
-            if row.strip() and not row.startswith("#")]
-    allowed = {(name, text) for name, text, _reason in rows}
-    unused = set(allowed)
     for path in sorted(SRC.glob("*.py")):
         source = path.read_text()
         text = source.splitlines()
         for line in sorted(executable_lines(compile(source, str(path), "exec"))):
-            if (str(path), line) in ran:
-                continue
-            key = (path.name, text[line - 1].strip())
-            if key in allowed:
-                unused.discard(key)
-                continue
-            failed = True
-            print(f"not run: src/desim/{path.name}:{line}: {key[1]}")
-    for name, text in sorted(unused):
-        failed = True
-        print(f"stale allowlist entry, the line is run or gone: {name} | {text}")
+            if (str(path), line) not in ran:
+                failed = True
+                print(f"not run: src/desim/{path.name}:{line}: {text[line - 1].strip()}")
     return int(failed)
 
 
