@@ -150,17 +150,14 @@ def _check_output(path: str | None) -> None:
 
 def _write(path: str | None, stdout: IO[str], parts: list[str]) -> None:
     """Write a command's text parts to stdout, or to ``path``, opened only now.
-    Failing to open, write or close ``path`` is a ValueError; stdout is flushed,
-    so that its write errors are raised here, not at interpreter exit."""
+    stdout is flushed, so that its write errors are raised here, not at
+    interpreter exit."""
     if path is None:
         stdout.writelines(parts)
         stdout.flush()
         return
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as sink:
-            sink.writelines(parts)
-    except OSError as exc:
-        raise ValueError(f"cannot write --output: {exc}") from None
+    with open(path, "w", encoding="utf-8", newline="\n") as sink:
+        sink.writelines(parts)
 
 
 def _cmd_run(args) -> tuple[int, list[str]]:
@@ -256,7 +253,9 @@ def main(argv: list[str] | None = None, stdout: IO[str] | None = None,
                        "validate": _cmd_validate}[args.command](args)
         try:
             _write(path, stdout, parts)
-        except OSError as exc:  # from stdout: _write reports --output itself
+        except OSError as exc:
+            if path is not None:
+                raise ValueError(f"cannot write --output: {exc}") from None
             if stdout is sys.stdout:
                 # Point the descriptor at devnull, so that the flush of what
                 # stdout still buffers at interpreter exit cannot fail again.

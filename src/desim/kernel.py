@@ -298,7 +298,7 @@ class Condition(Event):
             if ev.callbacks is None:
                 self._on_constituent(ev)
             else:
-                ev.add_callback(self._on_constituent)
+                ev.callbacks.append(self._on_constituent)
 
     def _on_constituent(self, ev: Event) -> None:
         if not ev._ok:

@@ -26,6 +26,12 @@ def run_cli(*argv):
     return code, out.getvalue(), err.getvalue()
 
 
+# A --diag run whose text (1.4 MB, about 9 chunks) is far larger than a
+# pipe's buffer.
+BIG_DIAG = ("run", "--scenario", "impatient", "--n", "12", "--until", "20000", "--diag")
+COUNTER_2000 = ("run", "--scenario", "counter", "--n", "2000", "--seed", "7")
+
+
 class TestEmitTrace:
     def test_human_format(self):
         records = [(1.108437215824142, "P1", "obtained chopstick")]
@@ -322,15 +328,23 @@ class TestSweepCommand:
         assert code == 0
         assert len(parse_csv(out)) == 1
 
-    def test_output_file_holds_exactly_what_stdout_gets(self, tmp_path):
-        args = ("sweep", "--scenario", "ordered", "--n", "2..3", "--until", "100",
-                "--seeds", "1")
+    # A run's text comes in chunks, so a file must get every chunk once, in
+    # order; a sweep's CSV is one part.
+    @pytest.mark.parametrize("args", [
+        pytest.param(("sweep", "--scenario", "ordered", "--n", "2..3", "--until",
+                      "100", "--seeds", "1"), id="sweep"),
+        pytest.param(BIG_DIAG, id="diag-human"),
+        pytest.param((*BIG_DIAG, "--format", "jsonl"), id="diag-jsonl"),
+        pytest.param(COUNTER_2000, id="counter-human"),
+        pytest.param((*COUNTER_2000, "--format", "jsonl"), id="counter-jsonl"),
+    ])
+    def test_output_file_holds_exactly_what_stdout_gets(self, tmp_path, args):
         code, printed, _ = run_cli(*args)
-        assert code == 0 and printed.startswith("variant,")
-        target = tmp_path / "sweep.csv"
+        assert code == 0 and printed
+        target = tmp_path / "out"
         code, out, err = run_cli(*args, "--output", str(target))
         assert (code, out, err) == (0, "", "")
-        assert target.read_text(encoding="utf-8") == printed
+        assert target.read_bytes() == printed.encode()
 
     def test_counter_not_sweepable(self):
         code, _, err = run_cli("sweep", "--scenario", "counter", "--n", "2..3")
@@ -509,10 +523,6 @@ def test_memory_error_in_a_process_body_is_one_line_and_exit_2(monkeypatch):
 
 def src_env():
     return dict(os.environ, PYTHONPATH=str(Path(__file__).parents[1] / "src"))
-
-
-# A --diag run whose text (1.4 MB) is far larger than a pipe's buffer.
-BIG_DIAG = ("run", "--scenario", "impatient", "--n", "12", "--until", "20000", "--diag")
 
 
 class TestWriteFailure:

@@ -240,6 +240,16 @@ class TestContainer:
         assert got.triggered and second.triggered and bowl.level == 1e308
         assert bowl.get(1e308).triggered and bowl.level == 0.0
 
+    def test_second_put_that_would_overflow_stays_queued_after_the_first_is_granted(self):
+        # One get lets the first put in; the put loop must then stop at the
+        # second, which would raise the level to inf.
+        bowl = Container(Environment(0), init=1e308, capacity=math.inf)
+        first, second = bowl.put(1e308), bowl.put(1e308)
+        assert not first.triggered and not second.triggered
+        assert bowl.get(1e308).triggered
+        assert first.triggered and not second.triggered
+        assert bowl.level == 1e308 and list(bowl.put_queue) == [second]
+
     def test_put_when_full_blocks_until_space(self):
         env = Environment(0)
         bowl = Container(env, init=100.0, capacity=100.0)

@@ -162,16 +162,19 @@ class TestSweep:
         parallel = sweep("ordered", [2, 3], 600.0, [0, 1], workers=2)
         assert serial == parallel
 
-    def test_spawn_workers_import_the_party_model_themselves(self):
-        # A spawned worker imports desim.stats afresh, and that import does
-        # not load desim.scenarios: simulate must import it in the worker.
+    # forkserver is the default start method on Linux from Python 3.14.
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_spawn_workers_import_the_party_model_themselves(self, method):
+        # A worker of either method imports desim.stats afresh, and that
+        # import does not load desim.scenarios: simulate must import it in the
+        # worker. Its stderr stays empty, as a sweep from the shell needs.
         script = "\n".join([
             "import multiprocessing, os",
             "from desim.stats import sweep, to_csv",
             "if __name__ == '__main__':",
-            "    multiprocessing.set_start_method('spawn')",
+            f"    multiprocessing.set_start_method({method!r})",
             "    os.cpu_count = lambda: 2",
-            "    args = ('ordered', [2, 3], 100.0, [0])",
+            "    args = ('impatient', range(2, 10), 500.0, range(3))",
             "    serial = to_csv(sweep(*args, workers=1))",
             "    print(to_csv(sweep(*args, workers=2)) == serial, end='')",
         ])
@@ -179,7 +182,7 @@ class TestSweep:
         done = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert done.returncode == 0, done.stderr
-        assert done.stdout == "True"
+        assert (done.stdout, done.stderr) == ("True", "")
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError):
