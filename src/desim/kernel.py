@@ -131,7 +131,11 @@ class Event:
 
     def succeed(self, value: Any = None) -> None:
         """Set a success outcome and queue the event at the current time."""
-        self.env.schedule(self)
+        if self._triggered:
+            raise LifecycleError(f"cannot schedule {self!r}: not pending")
+        self._triggered = True
+        env = self.env
+        heappush(env._queue, (env._now, NORMAL, self.eid, self))
         self._value = value
 
     def fail(self, cause: BaseException) -> None:
@@ -202,7 +206,8 @@ class Environment:
 
         Ties at equal time are broken by priority (smaller first), then by
         event creation sequence. An event already triggered or processed
-        cannot be scheduled again.
+        cannot be scheduled again. ``timeout`` and ``succeed`` make the checks
+        they need and push their entries themselves.
         """
         if event._triggered:
             raise LifecycleError(f"cannot schedule {event!r}: not pending")
@@ -216,7 +221,10 @@ class Environment:
     def timeout(self, delay: float) -> Event:
         """Event that succeeds, with value ``None``, ``delay`` time units from now."""
         ev = Event(self)
-        self.schedule(ev, NORMAL, delay)
+        if not 0.0 <= delay < _INF:  # also rejects NaN
+            raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
+        ev._triggered = True
+        heappush(self._queue, (self._now + delay, NORMAL, ev.eid, ev))
         return ev
 
     def step(self) -> bool:
@@ -293,7 +301,7 @@ class Condition(Event):
         for ev in events:
             if ev.env is not env:
                 raise LifecycleError(f"{ev!r} belongs to a different environment")
-        super().__init__(env)
+        Event.__init__(self, env)
         for ev in events:
             if ev.callbacks is None:
                 self._on_constituent(ev)

@@ -74,9 +74,9 @@ class Resource:
         if self.wait_queue:
             self._grant(self.wait_queue.popleft())
 
-    def _grant(self, rq: Request) -> None:  # as rq.succeed(), without the call
+    def _grant(self, rq: Request) -> None:
         self.users.append(rq)
-        self.env.schedule(rq)
+        rq.succeed()
 
     def __repr__(self) -> str:
         return (f"<Resource capacity={self.capacity} count={len(self.users)} "

@@ -133,15 +133,19 @@ class Philosopher:
         first, second = self.chopsticks
         emit, label = self._trace, self._label
         bowl, impatient = self.bowl, self.impatient
+        thinking = PhilosopherState.THINKING
+        hungry = PhilosopherState.HUNGRY
+        hungry_with_one = PhilosopherState.HUNGRY_WITH_ONE
+        eating = PhilosopherState.EATING
         while True:
             yield env.timeout(rng.expovariate_mean(THINK_MEAN))
-            self.state = PhilosopherState.HUNGRY
+            self.state = hungry
             start_waiting = env.now
             if emit is not None:
                 emit(env.now, label, "requested chopstick")
             rq1 = first.request()
             yield rq1
-            self.state = PhilosopherState.HUNGRY_WITH_ONE
+            self.state = hungry_with_one
             if emit is not None:
                 emit(env.now, label, "obtained chopstick")
             yield env.timeout(SECOND_PICK_DELAY)
@@ -169,7 +173,7 @@ class Philosopher:
                     bowl.cancel_get(request)
             self.waiting += env.now - start_waiting
             if fed:
-                self.state = PhilosopherState.EATING
+                self.state = eating
                 self.meals += 1
                 yield env.timeout(rng.expovariate_mean(EAT_MEAN))
                 self.meal_size = PORTION
@@ -178,7 +182,7 @@ class Philosopher:
                 self.give_ups += 1
                 self.total_give_ups += 1
                 self.meal_size += PORTION
-            self.state = PhilosopherState.THINKING
+            self.state = thinking
             first.release(rq1)
             second.release(rq2)
             if emit is not None:

@@ -233,13 +233,18 @@ class TestCriterion8Determinism:
 
 
 class TestCriterion9PropertyFuzz:
-    def test_invariants_hold_under_randomized_scenarios(self):
+    def test_invariants_hold_under_randomized_scenarios(self, monkeypatch):
         # An event may be created early and triggered much later, so a global
         # sort of the processed stream is not the right check; the queue
         # discipline promises that every pop takes the smallest key among the
         # entries queued at that moment, and that the clock never goes back.
-        # A shadow heap maintained independently verifies both.
+        # A shadow heap maintained independently verifies both. Every insert
+        # is a call of ``desim.kernel.heappush``, so the mirror records there.
         import heapq
+
+        from desim import NORMAL, kernel
+
+        original_push = kernel.heappush
 
         rng = random.Random(20260808)
         checked = 0
@@ -256,14 +261,35 @@ class TestCriterion9PropertyFuzz:
             times = []
             violations = []
 
-            original_schedule = env.schedule
+            # Each key is derived on its own: the time is now plus the delay
+            # that timeout or schedule received, the priority is the one
+            # schedule received, and any other insert is a success queued
+            # now at NORMAL priority. The eid comes from the event.
+            call = {}
 
-            def mirror(event, priority=1, delay=0.0, fresh=fresh,
-                       original=original_schedule, env=env):
+            def timeout(delay, call=call, original=env.timeout):
+                call["key"] = (NORMAL, delay)
+                ev = original(delay)
+                call.clear()
+                return ev
+
+            def schedule(event, priority=NORMAL, delay=0.0, call=call,
+                         original=env.schedule):
+                call["key"] = (priority, delay)
                 original(event, priority, delay)
-                fresh.append((env.now + delay, priority, event.eid))
+                call.clear()
 
-            env.schedule = mirror
+            def mirror(queue, entry, fresh=fresh, call=call,
+                       violations=violations, env=env):
+                priority, delay = call.get("key", (NORMAL, 0.0))
+                key = (env.now + delay, priority, entry[3].eid)
+                if queue is not env._queue or entry[:3] != key:
+                    violations.append(("insert-key", entry[:3], key))
+                original_push(queue, entry)
+                fresh.append(key)
+
+            env.timeout, env.schedule = timeout, schedule
+            monkeypatch.setattr(kernel, "heappush", mirror)
             party = build_party(env, n, variant)
 
             original_step = env.step

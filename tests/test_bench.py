@@ -1,14 +1,25 @@
-"""The statistics of ``benchmarks/bench.py``, on fixed data."""
+"""The statistics of ``benchmarks/bench.py`` on fixed data, and ``benchmarks/icount.py``."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
-_PATH = Path(__file__).resolve().parent.parent / "benchmarks" / "bench.py"
-_SPEC = importlib.util.spec_from_file_location("bench", _PATH)
-bench = importlib.util.module_from_spec(_SPEC)
-_SPEC.loader.exec_module(bench)
+import desim.kernel
+from desim import stats
+
+_BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def _load(name):
+    spec = importlib.util.spec_from_file_location(name, _BENCHMARKS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench, icount = _load("bench"), _load("icount")
 
 # Ten per-pair ratios as an A/A run gives them: noise around 1.
 NOISE = [0.981, 1.012, 0.996, 1.024, 0.989, 1.003, 1.017, 0.977, 1.008, 0.994]
@@ -50,3 +61,21 @@ def test_summary_applies_the_direction_and_the_pairs_rule():
     same = bench.summarize(parent, list(parent), "lower")
     assert same["wins"] == 0 and same["ratio_ci95"] == [1.0, 1.0]
     assert not same["claim_holds"]
+
+
+@pytest.mark.skipif(sys.version_info >= (3, 12), reason="sys.monitoring exists")
+def test_icount_exits_with_its_message_before_python_3_12():
+    with pytest.raises(SystemExit, match=r"^icount\.py needs Python 3\.12 or later"):
+        icount.main([])
+
+
+@pytest.mark.skipif(sys.version_info < (3, 12), reason="needs sys.monitoring")
+def test_icount_repeats_exactly_and_counts_the_kernel():
+    def mm1():
+        stats.mm1_simulate(stats.MM1Params(0.09, 0.1), 200, seed=1)
+
+    mm1()  # warm-up, as icount.main runs each shape
+    first, second = icount.count(mm1), icount.count(mm1)
+    assert first == second
+    kernel = Path(desim.kernel.__file__)
+    assert sum(n for code, n in first.items() if Path(code.co_filename) == kernel) > 0

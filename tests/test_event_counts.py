@@ -3,14 +3,13 @@
 Each model processes a fixed number of events for a fixed seed, so the count
 is a noise-free second metric next to any timing: a change to the hot path
 that keeps the trajectory keeps these numbers. The interception contract is
-what criterion 9's shadow heap relies on: every insert goes through the
-instance's ``schedule`` and every pop through the instance's ``step``.
+what criterion 9's shadow heap relies on: every insert is a call of
+``desim.kernel.heappush`` and every pop goes through the instance's ``step``.
 """
 
 import pytest
 
 from desim import (
-    NORMAL,
     Container,
     Environment,
     Interrupted,
@@ -18,7 +17,7 @@ from desim import (
     any_of,
     spawn,
 )
-from desim import stats
+from desim import kernel, stats
 from desim.scenarios import build_party, counter_scenario
 
 
@@ -71,14 +70,14 @@ class TestEventCounts:
 
 
 class TestInterceptionContract:
-    def test_every_insert_and_pop_goes_through_the_instance(self):
+    def test_every_insert_and_pop_goes_through_the_instance(self, monkeypatch):
         env = Environment(0)
         inserted, popped, processed = [], [], []
-        original_schedule, original_step = env.schedule, env.step
+        original_push, original_step = kernel.heappush, env.step
 
-        def schedule(event, priority=NORMAL, delay=0.0):
-            original_schedule(event, priority, delay)
-            inserted.append(type(event).__name__)
+        def push(queue, entry):
+            original_push(queue, entry)
+            inserted.append(type(entry[3]).__name__)
 
         def step():
             progressed = original_step()
@@ -86,7 +85,8 @@ class TestInterceptionContract:
                 popped.append(True)
             return progressed
 
-        env.schedule, env.step = schedule, step
+        monkeypatch.setattr(kernel, "heappush", push)
+        env.step = step
         env.on_processed = processed.append
 
         res = Resource(env, capacity=1)

@@ -11,6 +11,7 @@ from desim import (
     URGENT,
     Container,
     Environment,
+    Interrupted,
     LifecycleError,
     Resource,
     RunOutcome,
@@ -86,8 +87,12 @@ class TestTimeout:
     @pytest.mark.parametrize("bad", [-1.0, float("inf"), float("nan")])
     def test_invalid_delay_rejected(self, bad):
         env = Environment(0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as caught:
             env.timeout(bad)
+        assert str(caught.value) == f"delay must be finite and >= 0, got {bad!r}"
+        assert env._queue == []
+        # The rejected timeout's event was made before the check and keeps eid 0.
+        assert env.event().eid == 1
 
 
 class TestSchedule:
@@ -157,6 +162,51 @@ class TestSchedule:
         ev.succeed()
         assert env._queue == [(0.0, NORMAL, ev.eid, ev)]
 
+    def test_same_instant_inserts_pop_in_a_pinned_order(self):
+        # At t=1 one step queues a spawn's start, a grant, a zero timeout, a
+        # plain success, a container get and an interrupt: urgent entries
+        # first, then each priority in creation order, not in insert order.
+        env = Environment(0)
+        res = Resource(env)
+        box = Container(env, init=5.0, capacity=10.0)
+        popped = []
+        original_step = env.step
+
+        def step():
+            head = env._queue[0][3]
+            popped.append((type(head).__name__, head.eid))
+            return original_step()
+
+        def sleeper():
+            try:
+                yield env.timeout(5.0)
+            except Interrupted:
+                pass
+
+        def idle():
+            yield env.timeout(1.0)
+
+        def driver():
+            early = env.event()
+            target = spawn(env, sleeper())
+            yield env.timeout(1.0)
+            spawn(env, idle())
+            res.request()
+            env.timeout(0.0)
+            box.get(2.0)
+            early.succeed()
+            target.interrupt("now")
+
+        env.step = step
+        spawn(env, driver())
+        env.run()
+        assert popped == [
+            ("Event", 1), ("Event", 4), ("Event", 5),  # t=0 starts, driver's pause
+            ("Event", 8), ("Event", 12),  # t=1 urgent: idle's start, the interrupt
+            ("Event", 2), ("Request", 9), ("Event", 10), ("ContainerGet", 11),
+            ("Event", 13), ("Event", 6),  # idle's pause; the sleeper's detached one
+        ]
+
     def test_plain_scheduled_event_succeeds_with_none(self):
         env = Environment(0)
         ev = env.event()
@@ -166,6 +216,21 @@ class TestSchedule:
 
 
 class TestOutcome:
+    @pytest.mark.parametrize("processed", [False, True])
+    def test_succeed_twice_is_lifecycle_error_and_keeps_the_value(self, processed):
+        env = Environment(0)
+        ev = env.event()
+        ev.succeed("first")
+        if processed:
+            env.run()
+        with pytest.raises(LifecycleError) as caught:
+            ev.succeed("second")
+        stage = "processed" if processed else "triggered"
+        assert str(caught.value) == f"cannot schedule <Event #0 {stage}>: not pending"
+        assert env._queue == ([] if processed else [(0.0, NORMAL, 0, ev)])
+        env.run()
+        assert ev.value == "first"
+
     def test_succeed_delivers_value(self):
         env = Environment(0)
         got = []
