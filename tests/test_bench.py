@@ -74,8 +74,14 @@ def test_icount_repeats_exactly_and_counts_the_kernel():
     def mm1():
         stats.mm1_simulate(stats.MM1Params(0.09, 0.1), 200, seed=1)
 
+    def workload(counts):
+        # icount.py's own frame is left out: under a second monitoring tool,
+        # such as tools/cover.py's LINE events, it runs its lines for the
+        # first time inside the first count, and so counts more there.
+        return {code: n for code, n in counts.items() if code.co_filename != icount.__file__}
+
     mm1()  # warm-up, as icount.main runs each shape
-    first, second = icount.count(mm1), icount.count(mm1)
+    first, second = workload(icount.count(mm1)), workload(icount.count(mm1))
     assert first == second
     kernel = Path(desim.kernel.__file__)
     assert sum(n for code, n in first.items() if Path(code.co_filename) == kernel) > 0
