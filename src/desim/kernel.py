@@ -82,6 +82,7 @@ class Event:
                  "_triggered")
 
     def __init__(self, env: "Environment"):
+        # Environment._queued and Environment.timeout repeat these stores.
         self.env = env
         self.eid = next(env._eids)
         self.callbacks: list[Callable[["Event"], None]] | None = []
@@ -206,8 +207,9 @@ class Environment:
 
         Ties at equal time are broken by priority (smaller first), then by
         event creation sequence. An event already triggered or processed
-        cannot be scheduled again. ``timeout`` and ``succeed`` make the checks
-        they need and push their entries themselves.
+        cannot be scheduled again. The hot inserts skip this call:
+        ``timeout``, ``succeed`` and ``_queued`` make the checks they need and
+        push their entries themselves.
         """
         if event._triggered:
             raise LifecycleError(f"cannot schedule {event!r}: not pending")
@@ -220,11 +222,36 @@ class Environment:
 
     def timeout(self, delay: float) -> Event:
         """Event that succeeds, with value ``None``, ``delay`` time units from now."""
-        ev = Event(self)
+        # The stores of _queued, inline: a call per timeout costs more than they do.
+        ev = object.__new__(Event)
+        ev.env = self
+        ev.eid = eid = next(self._eids)  # a rejected call still uses one up
+        ev.callbacks = []
+        ev._ok = True
+        ev._value = None
+        ev._observed = False
+        ev._triggered = True
         if not 0.0 <= delay < _INF:  # also rejects NaN
             raise ValueError(f"delay must be finite and >= 0, got {delay!r}")
+        heappush(self._queue, (self._now + delay, NORMAL, eid, ev))
+        return ev
+
+    def _queued(self, kind: type, value: Any = None, priority: int = NORMAL) -> Event:
+        """A new ``kind`` event that succeeds with ``value``, queued now.
+
+        Does the stores of ``Event.__init__`` without calling the class,
+        which costs more than they do, so a field added there must be added
+        here and in ``timeout`` too.
+        """
+        ev = object.__new__(kind)
+        ev.env = self
+        ev.eid = eid = next(self._eids)
+        ev.callbacks = []
+        ev._ok = True
+        ev._value = value
+        ev._observed = False
         ev._triggered = True
-        heappush(self._queue, (self._now + delay, NORMAL, ev.eid, ev))
+        heappush(self._queue, (self._now, priority, eid, ev))
         return ev
 
     def step(self) -> bool:

@@ -63,9 +63,7 @@ class Process(Event):
         self._body = body
         # The start is the first resume: an urgent success now.
         self._awaiting: Event | None = None
-        start = Event(env)
-        start.callbacks.append(self._resume)
-        env.schedule(start, URGENT, 0.0)
+        env._queued(Event, None, URGENT).callbacks.append(self._resume)
 
     def interrupt(self, cause: Any = None) -> None:
         """Resume the process exceptionally with ``cause`` at its yield point.

@@ -50,12 +50,13 @@ class Resource:
         If a unit is free the grant happens at the current time, otherwise
         the request joins the FIFO queue.
         """
-        rq = Request(self.env)
-        rq.resource = self
         if len(self.users) < self.capacity:
-            self._grant(rq)
+            rq = self.env._queued(Request)
+            self.users.append(rq)
         else:
+            rq = Request(self.env)
             self.wait_queue.append(rq)
+        rq.resource = self
         return rq
 
     def release(self, rq: Request) -> None:
@@ -72,11 +73,9 @@ class Resource:
             raise LifecycleError(
                 "release of an ungranted or already-released request") from None
         if self.wait_queue:
-            self._grant(self.wait_queue.popleft())
-
-    def _grant(self, rq: Request) -> None:
-        self.users.append(rq)
-        rq.succeed()
+            rq = self.wait_queue.popleft()
+            self.users.append(rq)
+            rq.succeed()
 
     def __repr__(self) -> str:
         return (f"<Resource capacity={self.capacity} count={len(self.users)} "
@@ -119,7 +118,20 @@ class Container:
         An amount above the container capacity can never be satisfied and is
         rejected immediately rather than blocking forever.
         """
-        return self._enqueue(ContainerGet, self.get_queue, "get", amount)
+        amount = self._checked("get", amount)
+        # Every operation ends settled, so only a new head can move: one that
+        # fits is granted now, and only a queued put can follow it.
+        if not self.get_queue and amount <= self.level:
+            self.level -= amount
+            ev = self.env._queued(ContainerGet, amount)
+            ev.amount = amount
+            if self.put_queue:
+                self._settle()
+        else:
+            ev = ContainerGet(self.env)
+            ev.amount = amount
+            self.get_queue.append(ev)
+        return ev
 
     def put(self, amount: float) -> ContainerPut:
         """Deposit ``amount``; the returned event succeeds when it fits.
@@ -127,20 +139,28 @@ class Container:
         An amount above the container capacity can never fit and is rejected
         immediately rather than blocking every later put forever.
         """
-        return self._enqueue(ContainerPut, self.put_queue, "put", amount)
+        amount = self._checked("put", amount)
+        level = self.level + amount
+        if not self.put_queue and math.isfinite(level) and level <= self.capacity:
+            self.level = level
+            ev = self.env._queued(ContainerPut, amount)
+            ev.amount = amount
+            if self.get_queue:
+                self._settle()
+        else:
+            ev = ContainerPut(self.env)
+            ev.amount = amount
+            self.put_queue.append(ev)
+        return ev
 
-    def _enqueue(self, kind, queue: deque, verb: str, amount: float):
-        """Check ``amount``, queue a new ``kind`` event for it and settle."""
+    def _checked(self, verb: str, amount: float) -> float:
+        """``amount`` as a float, once it is known a get or put can take it."""
         if not (amount > 0 and math.isfinite(amount)):
             raise ValueError(f"{verb} amount must be finite and > 0, got {amount!r}")
         if amount > self.capacity:
             raise ValueError(
                 f"{verb} of {amount!r} exceeds container capacity {self.capacity!r}")
-        ev = kind(self.env)
-        ev.amount = float(amount)
-        queue.append(ev)
-        self._settle()
-        return ev
+        return float(amount)
 
     def cancel_get(self, ev: ContainerGet) -> None:
         """Withdraw a pending get so it can never take stock.

@@ -262,9 +262,10 @@ class TestCriterion9PropertyFuzz:
             violations = []
 
             # Each key is derived on its own: the time is now plus the delay
-            # that timeout or schedule received, the priority is the one
-            # schedule received, and any other insert is a success queued
-            # now at NORMAL priority. The eid comes from the event.
+            # that timeout or schedule received (none for _queued), the
+            # priority is the one schedule or _queued received, and any other
+            # insert is a success queued now at NORMAL priority. The eid
+            # comes from the event.
             call = {}
 
             def timeout(delay, call=call, original=env.timeout):
@@ -279,6 +280,13 @@ class TestCriterion9PropertyFuzz:
                 original(event, priority, delay)
                 call.clear()
 
+            def queued(kind, value=None, priority=NORMAL, call=call,
+                       original=env._queued):
+                call["key"] = (priority, 0.0)
+                ev = original(kind, value, priority)
+                call.clear()
+                return ev
+
             def mirror(queue, entry, fresh=fresh, call=call,
                        violations=violations, env=env):
                 priority, delay = call.get("key", (NORMAL, 0.0))
@@ -288,7 +296,7 @@ class TestCriterion9PropertyFuzz:
                 original_push(queue, entry)
                 fresh.append(key)
 
-            env.timeout, env.schedule = timeout, schedule
+            env.timeout, env.schedule, env._queued = timeout, schedule, queued
             monkeypatch.setattr(kernel, "heappush", mirror)
             party = build_party(env, n, variant)
 
