@@ -6,9 +6,9 @@ Needs Python 3.12 or later (``sys.monitoring``). ``SRC`` is the ``src``
 directory to import desim from, by default this checkout's, so a tree
 exported with ``git archive`` can be counted too. Each shape runs once to
 warm up and once more while an ``INSTRUCTION`` callback counts every
-instruction executed in this process, attributed to its code object. The
-report gives the Python version, then each shape's total and its ten
-costliest functions.
+instruction executed in this process, attributed to its code object, apart
+from the counter's own frame. The report gives the Python version, then
+each shape's total and its ten costliest functions.
 
 The shapes are smaller forms of perfbench's four workloads. The sweep runs
 its cells serially: events in worker processes are not seen. A count repeats
@@ -58,7 +58,7 @@ def shapes():
 
 
 def count(call) -> Counter:
-    """Instructions executed by ``call()``, by code object."""
+    """Instructions executed by ``call()``, by code object, without this frame's."""
     mon = sys.monitoring
     tool = mon.PROFILER_ID
     counts = Counter()
@@ -74,6 +74,10 @@ def count(call) -> Counter:
     finally:
         mon.set_events(tool, 0)
         mon.free_tool_id(tool)
+    # This frame's own lines around call() are not the workload's, and under
+    # a second monitoring tool (a line tracer) their count changes between
+    # the first count and later ones.
+    del counts[count.__code__]
     return counts
 
 

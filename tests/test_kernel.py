@@ -10,9 +10,13 @@ from desim import (
     NORMAL,
     URGENT,
     Container,
+    ContainerGet,
+    ContainerPut,
     Environment,
+    Event,
     Interrupted,
     LifecycleError,
+    Request,
     Resource,
     RunOutcome,
     UnhandledFailureError,
@@ -213,6 +217,59 @@ class TestSchedule:
         env.schedule(ev, delay=2.0)
         env.run()
         assert ev.succeeded and ev.value is None
+
+
+def slot_values(ev):
+    """Every slot the event's classes declare, with its value or ``"unset"``."""
+    return {name: getattr(ev, name, "unset")
+            for cls in type(ev).__mro__ for name in getattr(cls, "__slots__", ())}
+
+
+def same_but_eid(built, by_class):
+    """Whether two events hold the same fields, but for the eid, and the same stage."""
+    def observed(ev):
+        return (ev._stage(), ev.pending, ev.triggered, ev.processed, ev.succeeded,
+                ev.failed)
+
+    return (slot_values(built) == {**slot_values(by_class), "eid": built.eid}
+            and observed(built) == observed(by_class))
+
+
+class TestBuiltWithoutTheClass:
+    # _queued and timeout repeat the stores of Event.__init__ rather than
+    # call the class, so each must leave exactly what the class and succeed
+    # leave, before and after processing; a field added to __init__ alone
+    # shows up here as "unset".
+    @pytest.mark.parametrize("kind", [Event, Request, ContainerGet, ContainerPut])
+    @pytest.mark.parametrize("value", [None, 2.5])
+    @pytest.mark.parametrize("priority", [URGENT, NORMAL])
+    def test_queued_event_matches_one_built_by_its_class(self, kind, value, priority):
+        env = Environment(0)
+        by_class = kind(env)
+        by_class.succeed(value)
+        built = env._queued(kind, value, priority)
+        assert type(built) is kind and built.env is env
+        assert built.eid == by_class.eid + 1
+        assert built.callbacks == [] and built._observed is False
+        assert same_but_eid(built, by_class)
+        assert sorted(env._queue) == sorted([(0.0, NORMAL, by_class.eid, by_class),
+                                             (0.0, priority, built.eid, built)])
+        env.run()
+        assert same_but_eid(built, by_class)
+        assert built.value == by_class.value == value
+
+    def test_timeout_matches_an_event_built_by_its_class(self):
+        env = Environment(0)
+        by_class = Event(env)
+        by_class.succeed()
+        built = env.timeout(2.0)
+        assert type(built) is Event and built.eid == by_class.eid + 1
+        assert built.callbacks == [] and built._observed is False
+        assert same_but_eid(built, by_class)
+        assert env._queue == [(0.0, NORMAL, by_class.eid, by_class),
+                              (2.0, NORMAL, built.eid, built)]
+        env.run()
+        assert same_but_eid(built, by_class)
 
 
 class TestOutcome:

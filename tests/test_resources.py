@@ -327,6 +327,69 @@ class TestContainer:
             bowl.cancel_get(pending)
 
 
+    # Every operation leaves the container settled: no queue head fits.
+    # So a new get or put that is not a head that fits moves nothing.
+    @pytest.mark.parametrize("verb, amount, setup", [
+        pytest.param("get", 10.0, [("get", 50.0), ("put", 80.0)], id="get-behind-a-blocked-head"),
+        pytest.param("get", 40.0, [("put", 80.0)], id="get-above-the-level"),
+        pytest.param("put", 80.0, [("get", 50.0)], id="put-that-does-not-fit"),
+        pytest.param("put", 5.0, [("get", 50.0), ("put", 80.0)], id="put-behind-a-blocked-head"),
+    ])
+    def test_new_operation_that_cannot_go_first_moves_nothing(self, verb, amount, setup):
+        env = Environment(0)
+        box = Container(env, init=40.0, capacity=100.0)
+        box.get(10.0)  # granted: one entry queued, level 30
+        for setup_verb, setup_amount in setup:
+            assert not getattr(box, setup_verb)(setup_amount).triggered
+        before = (box.level, list(box.get_queue), list(box.put_queue), list(env._queue))
+        ev = getattr(box, verb)(amount)
+        assert not ev.triggered
+        gets, puts = before[1], before[2]
+        assert (box.level, list(box.get_queue), list(box.put_queue), env._queue) == (
+            before[0], gets + [ev] if verb == "get" else gets,
+            puts + [ev] if verb == "put" else puts, before[3])
+
+    @staticmethod
+    def popped_in_order(env):
+        popped = []
+        original_step = env.step
+
+        def step():
+            head = env._queue[0][3]
+            popped.append((type(head).__name__, head.eid, env._queue[0][0]))
+            return original_step()
+
+        env.step = step
+        env.run()
+        return popped
+
+    def test_immediate_get_that_frees_room_grants_a_queued_put_at_once(self):
+        env = Environment(0)
+        box = Container(env, init=90.0, capacity=100.0)
+        waiting = box.put(30.0)
+        env.timeout(0.0)
+        got = box.get(50.0)  # granted at once, then lets the put in
+        last = box.put(5.0)  # an empty put queue and room: granted at once
+        assert got.triggered and waiting.triggered and last.triggered
+        assert box.level == 75.0 and not box.put_queue and not box.get_queue
+        assert self.popped_in_order(env) == [
+            ("ContainerPut", 0, 0.0), ("Event", 1, 0.0), ("ContainerGet", 2, 0.0),
+            ("ContainerPut", 3, 0.0)]
+
+    def test_immediate_put_grants_queued_gets_at_once(self):
+        env = Environment(0)
+        box = Container(env, init=0.0, capacity=100.0)
+        first, second, third = box.get(20.0), box.get(30.0), box.get(60.0)
+        env.timeout(0.0)
+        put = box.put(70.0)  # granted at once, then lets two gets in
+        assert put.triggered and first.triggered and second.triggered
+        assert not third.triggered and list(box.get_queue) == [third]
+        assert box.level == 20.0
+        assert self.popped_in_order(env) == [
+            ("ContainerGet", 0, 0.0), ("ContainerGet", 1, 0.0), ("Event", 3, 0.0),
+            ("ContainerPut", 4, 0.0)]
+
+
 class TestContainerProperties:
     def test_conservation_under_random_traffic(self):
         # init + successful puts - successful gets == final level, exactly,
